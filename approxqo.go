@@ -185,7 +185,8 @@ var (
 	ExtractRouteFeatures = classify.Extract
 	RouteInstance        = classify.Route
 	// RouteEnsemble materializes a decision into engine-ready optimizers
-	// plus skip records for the tiers the decision left out.
+	// plus skip records for the members it left out; its last argument
+	// is a circuit-breaker admission check (nil admits every member).
 	RouteEnsemble = classify.Ensemble
 	// AllRouteTiers is the full-ensemble tier set in shed order.
 	AllRouteTiers = classify.AllTiers

@@ -100,7 +100,7 @@ func main() {
 		}
 		d := classify.Route(classify.Extract(in))
 		dec = &d
-		optimizers, skips = classify.Ensemble(d, in.N(), common.Seed)
+		optimizers, skips = classify.Ensemble(d, in.N(), common.Seed, nil)
 		if !common.JSON {
 			fmt.Printf("routing: class=%s recognized=%v tiers=%v budget_frac=%g\n  %s\n",
 				d.Class, d.Recognized, d.Tiers, d.BudgetFrac, d.Reason)

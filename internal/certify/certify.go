@@ -19,6 +19,10 @@
 //     constructed upper bound: a greedy witness sequence whose cost no
 //     true optimum can exceed.
 //
+// ExactBest applies the same bound at report level: every other
+// certified run of an ensemble is a witness the exact-flagged winner
+// must not exceed.
+//
 // Failures are classified by three sentinel errors — ErrInvalidPlan,
 // ErrCostMismatch, ErrBoundViolated — so callers can build structured
 // taxonomies on top (see engine.ErrUncertified).
@@ -90,6 +94,25 @@ func QON(in *qon.Instance, seq []int, claimed num.Num, exact bool) (*Certificate
 		}
 	}
 	return cert, nil
+}
+
+// ExactBest audits a report-level exactness claim: a winner flagged
+// exact must not cost more than any other certified run of the same
+// report, because that run's plan is an independent witness refuting
+// the optimality claim (a restricted optimum served as the global one
+// fails here). costs are the certified runs' costs; a winner not
+// flagged exact passes trivially.
+func ExactBest(best num.Num, exact bool, costs []num.Num) error {
+	if !exact {
+		return nil
+	}
+	for _, c := range costs {
+		if c.IsValid() && c.Less(best) {
+			return fmt.Errorf("%w: winner claims optimality at 2^%.6f but a certified run costs 2^%.6f",
+				ErrBoundViolated, safeLog2(best), safeLog2(c))
+		}
+	}
+	return nil
 }
 
 // qonCost recomputes C(Z) directly from the S/T/W matrices, mirroring

@@ -135,6 +135,24 @@ func TestQONAcceptsTrueExactnessClaim(t *testing.T) {
 	}
 }
 
+func TestExactBestRejectsCheaperCertifiedRun(t *testing.T) {
+	in := testInstance(t)
+	best, worst := in.Cost([]int{0, 1, 2}), in.Cost([]int{2, 1, 0})
+	// An exact-flagged winner costlier than another certified run of the
+	// same report is refuted by that run.
+	if err := ExactBest(worst, true, []num.Num{worst, best}); !errors.Is(err, ErrBoundViolated) {
+		t.Fatalf("err = %v, want ErrBoundViolated", err)
+	}
+	// Ties and dearer runs do not refute; a non-exact winner is not a
+	// claim at all.
+	if err := ExactBest(best, true, []num.Num{best, worst, {}}); err != nil {
+		t.Fatalf("true optimum rejected: %v", err)
+	}
+	if err := ExactBest(worst, false, []num.Num{best}); err != nil {
+		t.Fatalf("non-exact winner rejected: %v", err)
+	}
+}
+
 // qohInstance: 3-clique, all sizes 8, selectivity ½, memory 64.
 func qohInstance(t *testing.T) *qoh.Instance {
 	t.Helper()

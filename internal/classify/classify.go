@@ -24,6 +24,7 @@ package classify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"approxqo/internal/engine"
@@ -339,75 +340,107 @@ func (d Decision) shedBy(t Tier) string {
 	return engine.SkipRouting
 }
 
-// Ensemble materializes the decision into optimizers for an n-relation
-// instance, plus one SkipRecord per optimizer the decision routed away
-// (reason "routing" or "degraded") or that is out of its size range
-// (reason "out_of_range"). The union across all three tiers is exactly
-// the server's historical full-rung ensemble, so "route with every
-// tier" and "no routing" run identical optimizer sets. Deterministic in
-// (d, n, seed).
-func Ensemble(d Decision, n int, seed int64) ([]opt.Optimizer, []engine.SkipRecord) {
+// serialDPMaxN is the largest n whose exact tier is the serial subset
+// DP — and the reach within which the builder trusts that DP to finish
+// inside a request budget, so it leaves the local tier out: nothing
+// local search finds can beat the certified optimum, and every core it
+// burns is taken from concurrent requests. The serial DP over all
+// eleven workload families on an idle 2-core Xeon VM took at most
+// 0.19 s at n=15 and 0.39 s at n=16 — under a quarter of the server's
+// 2 s default budget — against 0.86 s at n=17 and 1.58 s at n=18
+// (DESIGN.md § One serving-ensemble builder). Above it the parallel DP
+// takes the exact slot and local search runs alongside as the anytime
+// fallback. Deliberately not a knob.
+const serialDPMaxN = 16
+
+// exactMember is the exact tier's single member for an n-relation
+// instance, with the size cap it serves up to.
+func exactMember(n int) (opt.Optimizer, int) {
+	if n <= serialDPMaxN {
+		return opt.NewDP(), serialDPMaxN
+	}
+	return opt.NewDPParallel(), opt.DefaultMaxDPN + 2
+}
+
+// Unrouted is the decision of a request that bypasses the classifier:
+// every tier, so the ensemble depends only on n and breaker state. The
+// load ladder degrades it like any other decision, shedding the exact
+// tier.
+func Unrouted() Decision {
+	return Decision{Class: ClassGeneral, Tiers: AllTiers(), BudgetFrac: 1,
+		Reason: "routing off: every tier"}
+}
+
+// Ensemble is the one QO_N serving-ensemble builder: it materializes
+// the decision into optimizers for an n-relation instance, plus one
+// SkipRecord per member left out. Tiers, in ensemble order:
+//
+//   - greedy: greedy-min-size, greedy-min-cost, kbz — polynomial
+//     insurance that runs whenever the tier is routed;
+//   - local: annealing, random-sampler, iterative-improvement — left
+//     out (reason "exact_in_reach") while the exact member is routed,
+//     within serialDPMaxN and its circuit closed;
+//   - exact: one member chosen by n (see exactMember), reported
+//     "out_of_range" past the parallel DP's cap.
+//
+// Unrouted tiers are reported "routing" or "degraded". allow is the
+// breaker's admission check (nil admits everyone); members it refuses
+// are reported "breaker". An ensemble left empty — an exact-only
+// decision past the cap, or every routed circuit open — falls back to
+// the greedy tier. Deterministic in (d, n, seed, allow).
+func Ensemble(d Decision, n int, seed int64, allow func(name string) bool) ([]opt.Optimizer, []engine.SkipRecord) {
 	var optimizers []opt.Optimizer
 	var skipped []engine.SkipRecord
+	skip := func(reason, detail string, os ...opt.Optimizer) {
+		for _, o := range os {
+			skipped = append(skipped, engine.SkipRecord{Name: o.Name(), Reason: reason, Detail: detail})
+		}
+	}
 	take := func(t Tier, os ...opt.Optimizer) {
-		if d.has(t) {
-			optimizers = append(optimizers, os...)
+		if !d.has(t) {
+			skip(d.shedBy(t), fmt.Sprintf("%s tier not routed for class %s", t, d.Class), os...)
 			return
 		}
-		reason := d.shedBy(t)
 		for _, o := range os {
-			skipped = append(skipped, engine.SkipRecord{
-				Name: o.Name(), Reason: reason,
-				Detail: fmt.Sprintf("%s tier not routed for class %s", t, d.Class),
-			})
+			if allow == nil || allow(o.Name()) {
+				optimizers = append(optimizers, o)
+			} else {
+				skip(engine.SkipBreaker, "circuit open after repeated quarantine", o)
+			}
 		}
 	}
-	take(TierGreedy,
-		opt.NewGreedy(opt.GreedyMinSize, opt.WithSeed(seed)),
-		opt.NewGreedy(opt.GreedyMinCost, opt.WithSeed(seed)),
-		opt.NewKBZ(opt.WithSeed(seed)))
-	take(TierLocal,
-		opt.NewAnnealing(opt.WithSeed(seed)),
-		opt.NewRandomSampler(opt.WithSeed(seed+1)),
-		opt.NewIterativeImprovement(opt.WithSeed(seed), opt.WithRestarts(5)))
-	// The exact tier is additionally size-gated: out-of-range members
-	// are reported as such only when the tier was routed at all.
-	var exact []opt.Optimizer
-	var exactSkips []engine.SkipRecord
-	gate := func(o opt.Optimizer, max int) {
-		if n <= max {
-			exact = append(exact, o)
-		} else {
-			exactSkips = append(exactSkips, engine.SkipRecord{
-				Name: o.Name(), Reason: engine.SkipOutOfRange,
-				Detail: fmt.Sprintf("n=%d above cap %d", n, max),
-			})
-		}
-	}
-	gate(opt.NewExhaustive(), opt.MaxExhaustiveN)
-	gate(opt.NewDP(), opt.DefaultMaxDPN)
-	gate(opt.NewDPNoCross(), opt.DefaultMaxDPN)
-	gate(opt.NewDPParallel(), opt.DefaultMaxDPN+2)
-	if d.has(TierExact) {
-		optimizers = append(optimizers, exact...)
-		skipped = append(skipped, exactSkips...)
-	} else {
-		reason := d.shedBy(TierExact)
-		for _, o := range exact {
-			skipped = append(skipped, engine.SkipRecord{
-				Name: o.Name(), Reason: reason,
-				Detail: fmt.Sprintf("exact tier not routed for class %s", d.Class),
-			})
-		}
-	}
-	if len(optimizers) == 0 {
-		// An exact-only decision on an instance past every exact cap:
-		// fall back to the greedy tier rather than serve nothing.
-		optimizers = append(optimizers,
+	greedy := func() []opt.Optimizer {
+		return []opt.Optimizer{
 			opt.NewGreedy(opt.GreedyMinSize, opt.WithSeed(seed)),
 			opt.NewGreedy(opt.GreedyMinCost, opt.WithSeed(seed)),
-			opt.NewKBZ(opt.WithSeed(seed)))
-		skipped = append(skipped, exactSkips...)
+			opt.NewKBZ(opt.WithSeed(seed)),
+		}
+	}
+	exact, exactCap := exactMember(n)
+	inReach := d.has(TierExact) && n <= serialDPMaxN && (allow == nil || allow(exact.Name()))
+
+	take(TierGreedy, greedy()...)
+	local := []opt.Optimizer{
+		opt.NewAnnealing(opt.WithSeed(seed)),
+		opt.NewRandomSampler(opt.WithSeed(seed + 1)),
+		opt.NewIterativeImprovement(opt.WithSeed(seed), opt.WithRestarts(5)),
+	}
+	if inReach && d.has(TierLocal) {
+		skip(engine.SkipExactInReach, fmt.Sprintf("%s certifies the optimum at n=%d", exact.Name(), n), local...)
+	} else {
+		take(TierLocal, local...)
+	}
+	if d.has(TierExact) && n > exactCap {
+		skip(engine.SkipOutOfRange, fmt.Sprintf("n=%d above cap %d", n, exactCap), exact)
+	} else {
+		take(TierExact, exact)
+	}
+
+	if len(optimizers) == 0 {
+		optimizers = greedy()
+		skipped = slices.DeleteFunc(skipped, func(sk engine.SkipRecord) bool {
+			return slices.ContainsFunc(optimizers, func(o opt.Optimizer) bool { return o.Name() == sk.Name })
+		})
 	}
 	return optimizers, skipped
 }

@@ -130,7 +130,7 @@ func TestDegradeOrder(t *testing.T) {
 func TestEnsembleSkipRecords(t *testing.T) {
 	in := familyInstance(t, "chain-selective", 12, 0)
 	d := Route(Extract(in))
-	optimizers, skips := Ensemble(d, 12, 7)
+	optimizers, skips := Ensemble(d, 12, 7, nil)
 	if len(optimizers) != 3 {
 		t.Fatalf("greedy tier materialized %d optimizers, want 3", len(optimizers))
 	}
@@ -138,22 +138,25 @@ func TestEnsembleSkipRecords(t *testing.T) {
 	for _, sk := range skips {
 		reasons[sk.Name] = sk.Reason
 	}
-	// Every non-greedy ensemble member is accounted for: local tier and
-	// in-range exact optimizers as routing skips (exhaustive is out of
-	// range at n=12 under a non-exact route, so it is absent entirely).
-	for _, name := range []string{"annealing", "random-sampler", "iterative-improvement", "subset-dp", "subset-dp-no-cross", "subset-dp-parallel"} {
+	// Every non-greedy member of the builder's ensemble is accounted
+	// for as a routing skip: the local tier and the single exact member
+	// n selects. Exhaustive, the no-cross DP and the parallel DP are
+	// not serving members at n=12, so they appear nowhere.
+	for _, name := range []string{"annealing", "random-sampler", "iterative-improvement", "subset-dp"} {
 		if reasons[name] != engine.SkipRouting {
 			t.Errorf("%s skip reason %q, want %q (skips %v)", name, reasons[name], engine.SkipRouting, skips)
 		}
 	}
-	if _, ok := reasons["exhaustive"]; ok {
-		t.Errorf("exhaustive reported under a route that never considered it")
+	for _, name := range []string{"exhaustive", "subset-dp-no-cross", "subset-dp-parallel"} {
+		if _, ok := reasons[name]; ok {
+			t.Errorf("%s reported by an ensemble it is not a member of", name)
+		}
 	}
 
 	// The degraded adversarial decision reports heuristics as degraded
 	// skips, not routing skips.
 	dAdv := Route(Extract(familyInstance(t, "cliquered-yes", 8, 0))).Degrade()
-	_, advSkips := Ensemble(dAdv, 8, 7)
+	_, advSkips := Ensemble(dAdv, 8, 7, nil)
 	got := map[string]string{}
 	for _, sk := range advSkips {
 		got[sk.Name] = sk.Reason
@@ -166,11 +169,75 @@ func TestEnsembleSkipRecords(t *testing.T) {
 	}
 }
 
+// TestEnsembleLocalTierSkippedWhenExactInReach pins the builder's
+// member table: one exact member chosen by n, and the local tier left
+// out exactly while that member is routed, within serialDPMaxN and its
+// circuit closed.
+func TestEnsembleLocalTierSkippedWhenExactInReach(t *testing.T) {
+	greedy := []string{"greedy-min-size", "greedy-min-cost", "kbz"}
+	local := []string{"annealing", "random-sampler", "iterative-improvement"}
+	cat := func(parts ...[]string) []string {
+		var out []string
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	openFor := func(names ...string) func(string) bool {
+		return func(name string) bool { return !contains(names, name) }
+	}
+	adversarial := Decision{Class: ClassAdversarial, Tiers: []Tier{TierExact, TierGreedy}}
+	cases := []struct {
+		name      string
+		d         Decision
+		n         int
+		allow     func(string) bool
+		want      []string
+		wantSkips map[string]string
+	}{
+		{"full n=4", Unrouted(), 4, nil, cat(greedy, []string{"subset-dp"}),
+			map[string]string{"annealing": engine.SkipExactInReach, "random-sampler": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
+		{"full n=16", Unrouted(), serialDPMaxN, nil, cat(greedy, []string{"subset-dp"}),
+			map[string]string{"annealing": engine.SkipExactInReach, "random-sampler": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
+		{"full n=17", Unrouted(), serialDPMaxN + 1, nil, cat(greedy, local, []string{"subset-dp-parallel"}), map[string]string{}},
+		{"full n=22", Unrouted(), 22, nil, cat(greedy, local, []string{"subset-dp-parallel"}), map[string]string{}},
+		{"full n=23", Unrouted(), 23, nil, cat(greedy, local),
+			map[string]string{"subset-dp-parallel": engine.SkipOutOfRange}},
+		{"heuristic rung n=12", Unrouted().Degrade(), 12, nil, cat(greedy, local),
+			map[string]string{"subset-dp": engine.SkipDegraded}},
+		{"exact circuit open n=12", Unrouted(), 12, openFor("subset-dp"), cat(greedy, local),
+			map[string]string{"subset-dp": engine.SkipBreaker}},
+		{"local circuit open n=12", Unrouted(), 12, openFor("annealing"), cat(greedy, []string{"subset-dp"}),
+			map[string]string{"annealing": engine.SkipExactInReach, "random-sampler": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
+		{"adversarial n=12", adversarial, 12, nil, cat(greedy, []string{"subset-dp"}),
+			map[string]string{"annealing": engine.SkipRouting, "random-sampler": engine.SkipRouting, "iterative-improvement": engine.SkipRouting}},
+		{"every circuit open", Unrouted(), 12, func(string) bool { return false }, greedy,
+			map[string]string{"annealing": engine.SkipBreaker, "random-sampler": engine.SkipBreaker, "iterative-improvement": engine.SkipBreaker, "subset-dp": engine.SkipBreaker}},
+	}
+	for _, tc := range cases {
+		optimizers, skips := Ensemble(tc.d, tc.n, 3, tc.allow)
+		var got []string
+		for _, o := range optimizers {
+			got = append(got, o.Name())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: members %v, want %v", tc.name, got, tc.want)
+		}
+		gotSkips := map[string]string{}
+		for _, sk := range skips {
+			gotSkips[sk.Name] = sk.Reason
+		}
+		if !reflect.DeepEqual(gotSkips, tc.wantSkips) {
+			t.Errorf("%s: skips %v, want %v", tc.name, gotSkips, tc.wantSkips)
+		}
+	}
+}
+
 func TestEnsembleOutOfRangeFallback(t *testing.T) {
 	// An exact-only decision past every exact cap must still serve an
 	// ensemble: the greedy tier steps in, with out_of_range records.
 	d := Decision{Class: ClassAdversarial, Tiers: []Tier{TierExact}}
-	optimizers, skips := Ensemble(d, 30, 1)
+	optimizers, skips := Ensemble(d, 30, 1, nil)
 	if len(optimizers) == 0 {
 		t.Fatal("empty ensemble for out-of-range exact-only decision")
 	}
@@ -222,7 +289,7 @@ func TestEnsembleDeterministic(t *testing.T) {
 }
 
 func ensembleNames(d Decision, n int, seed int64) []string {
-	optimizers, _ := Ensemble(d, n, seed)
+	optimizers, _ := Ensemble(d, n, seed, nil)
 	names := make([]string, len(optimizers))
 	for i, o := range optimizers {
 		names[i] = o.Name()

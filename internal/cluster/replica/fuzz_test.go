@@ -14,32 +14,37 @@ import (
 // acceptable).
 func FuzzCacheOfferJSON(f *testing.F) {
 	// A well-formed single-entry offer, the async fan-out's shape.
-	f.Add(`{"from":"http://w1:8081","entries":[{"key":"qon:3:deadbeef","raw_key":"ab12",` +
+	f.Add(`{"from":"http://w1:8081","entries":[{"key":"s2:qon:3:deadbeef","raw_key":"ab12",` +
 		`"report":{"model":"qon","n":3,"best":{"winner":"dp","sequence":[2,0,1],` +
 		`"cost":"42","cost_log2":5.39,"exact":true,"certified":true},"runs":[]}}]}`)
 	// A handoff-shaped multi-entry offer.
 	f.Add(`{"entries":[` +
-		`{"key":"qon:1:aa","report":{"model":"qon","n":1,"best":{"winner":"greedy","sequence":[0],"cost":"7","certified":true}}},` +
-		`{"key":"qoh:2:bb","report":{"model":"qoh","n":2,"best":{"winner":"qoh-dp","sequence":[1,0],"cost":"9","certified":true}}}]}`)
+		`{"key":"s2:qon:1:aa","report":{"model":"qon","n":1,"best":{"winner":"greedy","sequence":[0],"cost":"7","certified":true}}},` +
+		`{"key":"s2:qoh:2:bb","report":{"model":"qoh","n":2,"best":{"winner":"qoh-dp","sequence":[1,0],"cost":"9","certified":true}}}]}`)
 	// Rejectable entries: uncertified, costless, truncated permutation,
 	// model mismatch, bad key shapes (including the pre-binding
-	// model:fingerprint format), key↔report size mismatch, implausible n.
-	f.Add(`{"entries":[{"key":"qon:2:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"certified":false}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:2:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"certified":true}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:3:ff","report":{"n":3,"best":{"winner":"dp","sequence":[0,1],"cost":"4","certified":true}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:1:ff","report":{"model":"qoh","n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","certified":true}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:ff","report":{"n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","certified":true}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:9:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"cost":"4","certified":true}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:x:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"cost":"4","certified":true}}}]}`)
+	// model:fingerprint format under the current schema tag),
+	// key↔report size mismatch, implausible n.
+	f.Add(`{"entries":[{"key":"s2:qon:2:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"certified":false}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:2:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:3:ff","report":{"n":3,"best":{"winner":"dp","sequence":[0,1],"cost":"4","certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:1:ff","report":{"model":"qoh","n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:ff","report":{"n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:9:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"cost":"4","certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:x:ff","report":{"n":2,"best":{"winner":"dp","sequence":[0,1],"cost":"4","certified":true}}}]}`)
 	f.Add(`{"entries":[{"key":"nocolon","report":{"n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","certified":true}}}]}`)
-	f.Add(`{"entries":[{"key":"qon:1:","report":null}]}`)
-	f.Add(`{"entries":[{"key":"qon:1048577:ff","report":{"n":1048577,"best":{"winner":"dp","certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:1:","report":null}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:1048577:ff","report":{"n":1048577,"best":{"winner":"dp","certified":true}}}]}`)
 	// Structural rejects: null entry, empty array, overlong array shape.
+	// A legacy (untagged) key and an exact winner a cheaper run refutes.
+	f.Add(`{"entries":[{"key":"qon:1:ff","report":{"n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","certified":true}}}]}`)
+	f.Add(`{"entries":[{"key":"s2:qon:1:ff","report":{"n":1,"best":{"winner":"dp","sequence":[0],"cost":"4","exact":true,"certified":true},` +
+		`"runs":[{"name":"kbz","cost":"2","certified":true}]}}]}`)
 	f.Add(`{"entries":[null]}`)
 	f.Add(`{"entries":[]}`)
 	f.Add(`{"from":"x"}`)
 	// Truncation artifacts (chaos.NetTruncate) and junk.
-	f.Add(`{"entries":[{"key":"qon:deadbeef","report":{"best":{"winner":"dp","seq`)
+	f.Add(`{"entries":[{"key":"s2:qon:deadbeef","report":{"best":{"winner":"dp","seq`)
 	f.Add(`{}`)
 	f.Add(`null`)
 	f.Add(`[]`)

@@ -10,9 +10,10 @@
 // validate with the same code. Validation here is the trust boundary:
 // a replica accepts an offered entry only if it re-proves the serving
 // layer's contract — certified winner, valid cost, permutation-valid
-// sequence in canonical label space, and a cache key whose declared
-// instance size matches the report's — mirroring the coordinator's
-// checks on worker 200s. A corrupted or malicious offer is rejected
+// sequence in canonical label space, an exactness claim no other
+// certified run refutes, and a cache key under the current schema
+// whose declared instance size matches the report's — mirroring the
+// coordinator's checks on worker 200s. A corrupted or malicious offer is rejected
 // entry by entry, never crashing the receiver (FuzzCacheOfferJSON pins
 // this). On top of per-entry validation, every replication exchange is
 // authenticated: peers prove cluster membership with the shared secret
@@ -49,8 +50,8 @@ const AuthHeader = "X-Cluster-Key"
 // immutable and re-derivable.
 const DefaultReplicas = 2
 
-// KeyHash maps a cache key (model:n:fingerprint) or ring vnode name to
-// its position on the 64-bit hash ring. fnv-1a of near-identical
+// KeyHash maps a cache key (see Key) or ring vnode name to its
+// position on the 64-bit hash ring. fnv-1a of near-identical
 // strings clusters, so a splitmix64 finalizer scatters the positions;
 // the cluster ring and the digest arithmetic share this single
 // definition so ownership ranges computed by the coordinator match the
@@ -91,20 +92,28 @@ func (r Range) Contains(h uint64) bool {
 	return h > r.Lo || h <= r.Hi
 }
 
-// Key renders the canonical cache key: model, declared instance size,
-// and the graph-invariant fingerprint, colon-separated. Encoding n in
-// the key is what lets Validate bind a claimed key to its report — an
-// offer whose report disagrees with the size its own key declares is
-// rejected at the trust boundary instead of lying dormant until a
-// cache hit trips over it.
+// KeySchema tags every cache key with the serving contract its entry
+// was produced under. Bump it whenever that contract changes in a way
+// that invalidates stored results: keys under an older tag never match
+// a lookup and Validate refuses them from replicas. s2: a restricted
+// (cross-product-free) optimum is no longer flagged exact, so entries
+// from before it may carry a false exactness claim.
+const KeySchema = "s2"
+
+// Key renders the canonical cache key: schema tag, model, declared
+// instance size, and the graph-invariant fingerprint, colon-separated.
+// Encoding n in the key is what lets Validate bind a claimed key to its
+// report — an offer whose report disagrees with the size its own key
+// declares is rejected at the trust boundary instead of lying dormant
+// until a cache hit trips over it.
 func Key(model string, n int, fp string) string {
-	return model + ":" + strconv.Itoa(n) + ":" + fp
+	return KeySchema + ":" + model + ":" + strconv.Itoa(n) + ":" + fp
 }
 
 // Entry is one replicated cache entry: the canonical cache key
-// (model:n:fingerprint, see Key), the raw source key of the producing
-// request (canonical-hit attribution travels with the entry), and the
-// full engine report in canonical label space.
+// (schema:model:n:fingerprint, see Key), the raw source key of the
+// producing request (canonical-hit attribution travels with the
+// entry), and the full engine report in canonical label space.
 type Entry struct {
 	Key    string         `json:"key"`
 	RawKey string         `json:"raw_key,omitempty"`
@@ -125,13 +134,17 @@ func (e *Entry) Validate() error {
 	if e == nil {
 		return errors.New("null entry")
 	}
-	model, rest, ok := strings.Cut(e.Key, ":")
+	schema, rest, _ := strings.Cut(e.Key, ":")
+	if schema != KeySchema {
+		return fmt.Errorf("entry key %q is not under cache schema %s", e.Key, KeySchema)
+	}
+	model, rest, ok := strings.Cut(rest, ":")
 	if !ok {
-		return fmt.Errorf("entry key %q is not model:n:fingerprint", e.Key)
+		return fmt.Errorf("entry key %q is not schema:model:n:fingerprint", e.Key)
 	}
 	nStr, fp, ok := strings.Cut(rest, ":")
 	if !ok || fp == "" {
-		return fmt.Errorf("entry key %q is not model:n:fingerprint", e.Key)
+		return fmt.Errorf("entry key %q is not schema:model:n:fingerprint", e.Key)
 	}
 	if model != "qon" && model != "qoh" {
 		return fmt.Errorf("entry key has unknown model %q", model)
@@ -176,7 +189,7 @@ func (e *Entry) Validate() error {
 		}
 		seen[r] = true
 	}
-	return nil
+	return rep.AuditExact()
 }
 
 // OfferRequest is the body of POST /cache/offer: entries a peer (the

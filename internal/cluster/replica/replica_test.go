@@ -58,46 +58,53 @@ func TestRangeContains(t *testing.T) {
 }
 
 func TestEntryValidateAcceptsCertified(t *testing.T) {
-	if err := validEntry("qon:3:deadbeef", 3).Validate(); err != nil {
+	if err := validEntry("s2:qon:3:deadbeef", 3).Validate(); err != nil {
 		t.Fatalf("valid entry rejected: %v", err)
 	}
-	if err := validEntry("qoh:2:cafe", 2).Validate(); err == nil {
+	if err := validEntry("s2:qoh:2:cafe", 2).Validate(); err == nil {
 		t.Fatal("qoh key with qon report model accepted")
 	}
-	qoh := validEntry("qoh:2:cafe", 2)
+	qoh := validEntry("s2:qoh:2:cafe", 2)
 	qoh.Report.Model = "qoh"
 	if err := qoh.Validate(); err != nil {
 		t.Fatalf("valid qoh entry rejected: %v", err)
 	}
-	if Key("qon", 3, "deadbeef") != "qon:3:deadbeef" {
+	if Key("qon", 3, "deadbeef") != KeySchema+":qon:3:deadbeef" {
 		t.Fatalf("Key rendered %q", Key("qon", 3, "deadbeef"))
 	}
 }
 
 func TestEntryValidateRejectsBrokenEntries(t *testing.T) {
 	breakers := map[string]func(*Entry){
-		"nil report":     func(e *Entry) { e.Report = nil },
-		"nil best":       func(e *Entry) { e.Report.Best = nil },
-		"uncertified":    func(e *Entry) { e.Report.Best.Certified = false },
-		"no cost":        func(e *Entry) { e.Report.Best.Cost = num.Num{} },
-		"bad key":        func(e *Entry) { e.Key = "nocolon" },
-		"missing n":      func(e *Entry) { e.Key = "qon:deadbeef" }, // pre-binding key format
-		"empty fp":       func(e *Entry) { e.Key = "qon:3:" },
-		"unknown model":  func(e *Entry) { e.Key = "sql:3:deadbeef" },
-		"model mismatch": func(e *Entry) { e.Key = "qoh:3:deadbeef" },
-		"key n mismatch": func(e *Entry) { e.Key = "qon:4:deadbeef" },
-		"huge key n":     func(e *Entry) { e.Key = fmt.Sprintf("qon:%d:deadbeef", maxEntryN+1) },
-		"non-numeric n":  func(e *Entry) { e.Key = "qon:x:deadbeef" },
-		"negative n":     func(e *Entry) { e.Key = "qon:-3:deadbeef" },
+		"nil report":    func(e *Entry) { e.Report = nil },
+		"nil best":      func(e *Entry) { e.Report.Best = nil },
+		"uncertified":   func(e *Entry) { e.Report.Best.Certified = false },
+		"no cost":       func(e *Entry) { e.Report.Best.Cost = num.Num{} },
+		"bad key":       func(e *Entry) { e.Key = "nocolon" },
+		"missing n":     func(e *Entry) { e.Key = "s2:qon:deadbeef" }, // pre-binding key format
+		"legacy schema": func(e *Entry) { e.Key = "qon:3:deadbeef" },  // stored before the s2 tag
+		"false exact": func(e *Entry) {
+			// A cheaper certified run refutes the winner's exact claim.
+			cheaper := num.FromInt64(21)
+			e.Report.Best.Exact = true
+			e.Report.Runs = []engine.RunRecord{{Name: "subset-dp", Certified: true, Cost: &cheaper}}
+		},
+		"empty fp":       func(e *Entry) { e.Key = "s2:qon:3:" },
+		"unknown model":  func(e *Entry) { e.Key = "s2:sql:3:deadbeef" },
+		"model mismatch": func(e *Entry) { e.Key = "s2:qoh:3:deadbeef" },
+		"key n mismatch": func(e *Entry) { e.Key = "s2:qon:4:deadbeef" },
+		"huge key n":     func(e *Entry) { e.Key = fmt.Sprintf("s2:qon:%d:deadbeef", maxEntryN+1) },
+		"non-numeric n":  func(e *Entry) { e.Key = "s2:qon:x:deadbeef" },
+		"negative n":     func(e *Entry) { e.Key = "s2:qon:-3:deadbeef" },
 		"zero n":         func(e *Entry) { e.Report.N = 0; e.Report.Best.Sequence = nil },
 		"huge n":         func(e *Entry) { e.Report.N = maxEntryN + 1 },
 		"short sequence": func(e *Entry) { e.Report.Best.Sequence = e.Report.Best.Sequence[:2] },
 		"repeated label": func(e *Entry) { e.Report.Best.Sequence = []int{0, 0, 1} },
 		"label range":    func(e *Entry) { e.Report.Best.Sequence = []int{0, 1, 3} },
-		"long fp":        func(e *Entry) { e.Key = "qon:3:" + string(make([]byte, 200)) },
+		"long fp":        func(e *Entry) { e.Key = "s2:qon:3:" + string(make([]byte, 200)) },
 	}
 	for name, brk := range breakers {
-		e := validEntry("qon:3:deadbeef", 3)
+		e := validEntry("s2:qon:3:deadbeef", 3)
 		brk(e)
 		if err := e.Validate(); err == nil {
 			t.Errorf("%s: broken entry accepted", name)
@@ -110,7 +117,7 @@ func TestEntryValidateRejectsBrokenEntries(t *testing.T) {
 }
 
 func TestDecodeOfferBounds(t *testing.T) {
-	body, _ := json.Marshal(&OfferRequest{From: "w1", Entries: []*Entry{validEntry("qon:2:ff", 2)}})
+	body, _ := json.Marshal(&OfferRequest{From: "w1", Entries: []*Entry{validEntry("s2:qon:2:ff", 2)}})
 	off, err := DecodeOffer(body, 0)
 	if err != nil {
 		t.Fatalf("valid offer rejected: %v", err)
@@ -128,7 +135,7 @@ func TestDecodeOfferBounds(t *testing.T) {
 			t.Errorf("DecodeOffer accepted %q", bad)
 		}
 	}
-	two, _ := json.Marshal(&OfferRequest{Entries: []*Entry{validEntry("qon:2:a1", 2), validEntry("qon:2:b2", 2)}})
+	two, _ := json.Marshal(&OfferRequest{Entries: []*Entry{validEntry("s2:qon:2:a1", 2), validEntry("s2:qon:2:b2", 2)}})
 	if _, err := DecodeOffer(two, 1); err == nil {
 		t.Error("DecodeOffer ignored maxEntries")
 	}
@@ -137,7 +144,7 @@ func TestDecodeOfferBounds(t *testing.T) {
 func TestDigestRangesDetectsDivergence(t *testing.T) {
 	keys := make([]string, 32)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("qon:%08x", i*2654435761)
+		keys[i] = fmt.Sprintf("s2:qon:%08x", i*2654435761)
 	}
 	full := []Range{{0, 0}}
 	d1 := DigestRanges(keys, full)
@@ -193,7 +200,7 @@ func TestDigestRangesMatchesNaiveScan(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		keys := make([]string, rng.Intn(40))
 		for i := range keys {
-			keys[i] = fmt.Sprintf("qon:%d:%08x", 2+rng.Intn(9), rng.Uint32())
+			keys[i] = fmt.Sprintf("s2:qon:%d:%08x", 2+rng.Intn(9), rng.Uint32())
 		}
 		ranges := make([]Range, 1+rng.Intn(8))
 		for i := range ranges {

@@ -70,7 +70,7 @@ func rsoakEntry(i int) *replica.Entry {
 		seq[k] = (k + 1) % n
 	}
 	return &replica.Entry{
-		Key:    fmt.Sprintf("qon:3:inject-%04x", i),
+		Key:    replica.Key("qon", 3, fmt.Sprintf("inject-%04x", i)),
 		RawKey: fmt.Sprintf("raw-%d", i),
 		Report: &engine.Report{
 			Model: "qon",

@@ -197,7 +197,7 @@ func validateResult(res *server.Result) error {
 		}
 		seen[r] = true
 	}
-	return nil
+	return res.Report.AuditExact()
 }
 
 // decodeWorkerError validates one worker non-200 body: it must be a

@@ -22,8 +22,8 @@
 //     are abandoned and quarantined (their goroutines drain into a
 //     buffered channel; their counters are still snapshotted safely),
 //   - a cheapest-wins merge over certified results only; on a cost
-//     tie an exact result beats a heuristic one, otherwise the first
-//     arrival keeps the slot.
+//     tie an exact result beats a heuristic one, then the member
+//     listed earlier in the ensemble wins — never the first arrival.
 //
 // Every run gets a fresh Stats sink attached to the instance, so the
 // cost model itself counts evaluations whether or not the optimizer
@@ -557,9 +557,8 @@ type arrival struct {
 
 // supervise runs the jobs concurrently — each with retry, certification
 // and quarantine handling — and collects them into records, merging the
-// cheapest certified result from a non-quarantined optimizer (on a
-// cost tie an exact result beats a heuristic one; otherwise the first
-// arrival wins). When the engine carries a tracer it records the
+// cheapest certified result from a non-quarantined optimizer (ties go
+// to exactness, then ensemble position — see mergeBeats). When the engine carries a tracer it records the
 // span taxonomy documented in DESIGN.md (engine.run → optimizer:<name>
 // → attempt → optimize/certify → merge); when it carries a metrics
 // registry, the supervisor — and only the supervisor — absorbs each
@@ -692,8 +691,6 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 	}
 	arrivals := st.arrivals
 	abandoned := false
-	var best *BestRecord // provisional, for early exit only
-	var bestCost num.Num
 	grace := e.grace
 	if grace <= 0 {
 		grace = DefaultGrace
@@ -769,9 +766,6 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 				rec.CostLog2 = cost.Log2()
 				rec.Exact = oc.res.exact
 				arrivals = append(arrivals, arrival{idx: oc.idx, res: oc.res})
-				if best == nil || cost.Less(bestCost) {
-					best, bestCost = e.bestRecord(jobs, oc.idx, oc.res), cost
-				}
 				if oc.res.exact && !e.noEarly {
 					cancel() // remaining runs can only tie at best
 				}
@@ -815,19 +809,14 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 	// discard-prior-contributions guarantee independent of that detail.
 	mergeSpan := rootSpan.Child("merge")
 	mergeSpan.SetField("arrivals", len(arrivals))
-	best = nil
+	var best *BestRecord
+	var win arrival
 	for _, a := range arrivals {
 		if records[a.idx].Quarantined {
 			continue
 		}
-		switch {
-		case best == nil || a.res.cost.Less(bestCost):
-			best, bestCost = e.bestRecord(jobs, a.idx, a.res), a.res.cost
-		case a.res.exact && !best.Exact && !bestCost.Less(a.res.cost):
-			// Equal cost: an exact result is strictly more informative
-			// than a heuristic one, so it displaces a tying heuristic
-			// regardless of arrival order.
-			best, bestCost = e.bestRecord(jobs, a.idx, a.res), a.res.cost
+		if best == nil || mergeBeats(a, win) {
+			best, win = e.bestRecord(jobs, a.idx, a.res), a
 		}
 	}
 	mergeSpan.End()
@@ -857,6 +846,21 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 		putRunState(st)
 	}
 	return report, best
+}
+
+// mergeBeats orders certified arrivals for the final merge: cheaper
+// first; on an equal cost an exact result beats a heuristic one (it is
+// strictly more informative), and between equally exact results the
+// member listed earlier in the ensemble wins. Arrival order never
+// decides, so the winner is a function of the results alone.
+func mergeBeats(a, b arrival) bool {
+	if !a.res.cost.Equal(b.res.cost) {
+		return a.res.cost.Less(b.res.cost)
+	}
+	if a.res.exact != b.res.exact {
+		return a.res.exact
+	}
+	return a.idx < b.idx
 }
 
 // bestRecord builds the winning-plan record for a certified result.

@@ -12,6 +12,7 @@ import (
 	"approxqo/internal/num"
 	"approxqo/internal/opt"
 	"approxqo/internal/qon"
+	"approxqo/internal/workload"
 )
 
 // randomInstance builds a random valid QO_N instance (edge access costs
@@ -377,5 +378,74 @@ func TestMergePrefersExactOnCostTie(t *testing.T) {
 	}
 	if !report.Best.Cost.Equal(optimum.Cost) {
 		t.Fatal("winner cost drifted from the computed optimum")
+	}
+}
+
+// Between equally exact results of equal cost the member listed first
+// in the ensemble wins, whichever arrives first: the late-released
+// stub is listed first and must take the slot from the early one.
+func TestMergeTieGoesToEnsemblePosition(t *testing.T) {
+	in := randomInstance(7, 0.8, 12)
+	optimum, err := opt.NewDP().Optimize(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exact := range []bool{true, false} {
+		release := make(chan struct{})
+		res := &opt.Result{Sequence: optimum.Sequence, Cost: optimum.Cost, Exact: exact}
+		first := cannedOptimizer{name: "listed-first-stub", res: res, release: release}
+		second := cannedOptimizer{name: "listed-second-stub", res: res}
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			close(release)
+		}()
+		report, err := New(WithoutEarlyExit()).Run(context.Background(), in, first, second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Best == nil || report.Best.Winner != "listed-first-stub" {
+			t.Fatalf("exact=%v: tie went to %+v, want the first-listed member", exact, report.Best)
+		}
+	}
+}
+
+// The chain n=12 instance on which an ensemble of {no-cross DP, DP,
+// parallel DP} used to serve the cross-product-free optimum as
+// exact:true in 57 of 60 runs: the no-cross DP finished first, its
+// exactness claim ended the run early, and the cheaper global optimum
+// was cancelled. Every run must now serve the global optimum.
+func TestChainN12RestrictedOptimumNeverServedExact(t *testing.T) {
+	in, err := workload.Generate(workload.Params{Shape: workload.Chain, N: 12, Seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimum, err := opt.NewDP().Optimize(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restricted, err := opt.NewDPNoCross().Optimize(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !optimum.Cost.Less(restricted.Cost) {
+		t.Fatal("instance no longer separates the restricted and global optima; the regression pin is void")
+	}
+	if restricted.Exact {
+		t.Fatal("no-cross DP claims global exactness")
+	}
+	eng := New()
+	for i := 0; i < 20; i++ {
+		report, err := eng.Run(context.Background(), in, opt.NewDPNoCross(), opt.NewDP(), opt.NewDPParallel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := report.Best
+		if !best.Exact || !best.Cost.Equal(optimum.Cost) || best.Winner == "subset-dp-no-cross" {
+			t.Fatalf("run %d served %q at 2^%.4f exact=%v; global optimum is 2^%.4f",
+				i, best.Winner, best.CostLog2, best.Exact, optimum.Cost.Log2())
+		}
+		if err := report.AuditExact(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }

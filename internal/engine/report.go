@@ -7,6 +7,7 @@ import (
 	"sync"
 	"text/tabwriter"
 
+	"approxqo/internal/certify"
 	"approxqo/internal/num"
 	"approxqo/internal/stats"
 )
@@ -82,18 +83,22 @@ type RunRecord struct {
 	Quarantined bool `json:"quarantined,omitempty"`
 }
 
-// Skip reasons for SkipRecord. Routing and degradation come from the
-// adaptive classifier (internal/classify); breaker skips come from the
-// server's circuit breaker; out_of_range marks an exact optimizer whose
-// size cap excludes the instance. None of these are failures — that is
+// Skip reasons for SkipRecord, all attached by the ensemble builder
+// (classify.Ensemble). Routing and degradation come from the adaptive
+// classifier and the load ladder; breaker skips from the server's
+// circuit breaker; out_of_range marks an exact optimizer whose size cap
+// excludes the instance; exact_in_reach marks local search left out
+// because the exact member certifies the optimum within the request
+// budget. None of these are failures — that is
 // exactly why they are recorded separately from quarantine/abandonment,
 // so soaks and metrics checks don't conflate "benched for misbehaving"
 // with "deliberately not run".
 const (
-	SkipRouting    = "routing"
-	SkipDegraded   = "degraded"
-	SkipBreaker    = "breaker"
-	SkipOutOfRange = "out_of_range"
+	SkipRouting      = "routing"
+	SkipDegraded     = "degraded"
+	SkipBreaker      = "breaker"
+	SkipOutOfRange   = "out_of_range"
+	SkipExactInReach = "exact_in_reach"
 )
 
 // SkipRecord documents an optimizer that was deliberately not run and
@@ -145,6 +150,24 @@ var reportPool = sync.Pool{New: func() any { return &Report{} }}
 
 // newReport returns a pooled Report with Runs sized (and zeroed) for n
 // runs and every other field reset.
+// AuditExact re-checks the report's exactness claim against its own
+// runs (certify.ExactBest): an exact winner must not cost more than any
+// other certified run. Trust boundaries that accept reports they did
+// not produce — replica offers, the coordinator's worker relays — call
+// it; the engine's own merge satisfies it by construction.
+func (r *Report) AuditExact() error {
+	if r.Best == nil {
+		return nil
+	}
+	costs := make([]num.Num, 0, len(r.Runs))
+	for _, run := range r.Runs {
+		if run.Certified && run.Cost != nil {
+			costs = append(costs, *run.Cost)
+		}
+	}
+	return certify.ExactBest(r.Best.Cost, r.Best.Exact, costs)
+}
+
 func newReport(n int) *Report {
 	r := reportPool.Get().(*Report)
 	runs, quarantined, skipped := r.Runs, r.Quarantined, r.Skipped

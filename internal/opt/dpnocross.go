@@ -37,8 +37,11 @@ func NewDPNoCross(opts ...Option) DPNoCross {
 // Name implements Optimizer.
 func (DPNoCross) Name() string { return "subset-dp-no-cross" }
 
-// Optimize implements Optimizer. The returned result is exact *within
-// the cross-product-free space* (Result.Exact is set accordingly).
+// Optimize implements Optimizer. The returned result is optimal only
+// *within the cross-product-free space*; the global optimum may use a
+// cartesian product and be strictly cheaper, so Result.Exact (which
+// certifies global optimality) stays false. A restricted optimum must
+// never end an ensemble early or win an exact tie.
 func (d DPNoCross) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 	n := in.N()
 	max := d.MaxN
@@ -151,5 +154,5 @@ func (d DPNoCross) Optimize(ctx context.Context, in *qon.Instance) (*Result, err
 	// Canonical-order recomputation, for the same reason as DP: the
 	// table's rounding sequence differs from Evaluate's on non-dyadic
 	// workloads, and certification demands bit-equality.
-	return &Result{Sequence: seq, Cost: in.Cost(seq), Exact: true}, nil
+	return &Result{Sequence: seq, Cost: in.Cost(seq)}, nil
 }

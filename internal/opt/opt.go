@@ -29,7 +29,9 @@ import (
 type Result struct {
 	Sequence qon.Sequence
 	Cost     num.Num
-	// Exact reports whether Cost is certified optimal.
+	// Exact reports whether Cost is certified optimal over all n!
+	// sequences. An optimum over a restricted search space (DPNoCross)
+	// is not exact.
 	Exact bool
 }
 

@@ -90,7 +90,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// goroutine shares a Request. Jobs without a usable key — cache
 	// disabled, chaos injection active, ungenerable workload — form
 	// singleton groups under a synthetic key ("\x00" never prefixes a
-	// real model:n:fingerprint key), so they run per-job like /optimize.
+	// real schema:model:n:fingerprint key), so they run per-job like /optimize.
 	reqs := make([]*Request, n)
 	var replicaTo []string
 	if s.peerAuthed(r) {

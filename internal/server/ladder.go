@@ -6,8 +6,9 @@ package server
 // suboptimal, so the exact-vs-heuristic trade-off is made explicitly,
 // per request, from the load observed at admission:
 //
-//	RungFull      → full certified ensemble (exact DPs + heuristics)
-//	RungHeuristic → exact optimizers shed; certified heuristic result,
+//	RungFull      → full certified ensemble (classify.Ensemble with
+//	                every tier: greedy + one exact DP chosen by n)
+//	RungHeuristic → exact tier shed; certified heuristic result,
 //	                marked degraded in the response
 //	RungShed      → request rejected outright with a structured
 //	                503 + Retry-After document

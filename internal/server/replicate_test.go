@@ -31,7 +31,7 @@ func replicaEntry(i int) *replica.Entry {
 		seq[k] = (k + 1) % n
 	}
 	return &replica.Entry{
-		Key:    fmt.Sprintf("qon:3:%04x", i),
+		Key:    replica.Key("qon", 3, fmt.Sprintf("%04x", i)),
 		RawKey: fmt.Sprintf("raw-%d", i),
 		Report: &engine.Report{
 			Model: "qon",
@@ -290,7 +290,7 @@ func TestReplicateFanOutOnStore(t *testing.T) {
 	if err := ent.Validate(); err != nil {
 		t.Fatalf("replicated entry fails trust-boundary validation: %v", err)
 	}
-	if wantKey := "qon:6:" + res.Fingerprint; ent.Key != wantKey {
+	if wantKey := replica.Key("qon", 6, res.Fingerprint); ent.Key != wantKey {
 		t.Fatalf("replicated key %q, want %q", ent.Key, wantKey)
 	}
 	if reg.Counter(MetricReplicateSent).Value() < 1 {

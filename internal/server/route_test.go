@@ -75,7 +75,8 @@ func TestRoutedRequestRecordsDecisionAndSkips(t *testing.T) {
 	}
 
 	// The job-level override wins over the server default: route:false
-	// forces the historical full ensemble, no decision attached.
+	// forces the unrouted full rung, no decision attached. At n=12 its
+	// serial DP is in reach, so the only skips are the local tier's.
 	full := `{"job":{"workload":{"shape":"chain-selective","n":12,"seed":4},"timeout_ms":20000,"route":false}}`
 	resp, data = postJSON(t, ts.URL, full)
 	if resp.StatusCode != http.StatusOK {
@@ -85,8 +86,16 @@ func TestRoutedRequestRecordsDecisionAndSkips(t *testing.T) {
 	if res.Routing != nil {
 		t.Errorf("route:false result still carries a decision: %+v", res.Routing)
 	}
-	if len(res.Report.Skipped) != 0 {
-		t.Errorf("full ensemble reports skipped optimizers: %+v", res.Report.Skipped)
+	if len(res.Report.Skipped) != 3 {
+		t.Errorf("full rung skipped %+v, want the three local-tier members", res.Report.Skipped)
+	}
+	for _, sk := range res.Report.Skipped {
+		if sk.Reason != engine.SkipExactInReach {
+			t.Errorf("full rung skipped %s for %q, want %q", sk.Name, sk.Reason, engine.SkipExactInReach)
+		}
+	}
+	if best := res.Report.Best; best == nil || !best.Exact || best.Winner != "subset-dp" {
+		t.Errorf("full rung winner %+v, want the exact subset-dp", best)
 	}
 }
 

@@ -822,25 +822,28 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 		if ierr != nil {
 			return nil, nil, ierr
 		}
-		var optimizers []opt.Optimizer
-		var skips []engine.SkipRecord
-		if req.routeEnabled(s.cfg.Route) {
-			d := classify.Route(classify.Extract(in))
-			if rung.Degraded() {
-				// The ladder sheds the tier the classifier ranks least
-				// important — for adversarial instances that keeps the
-				// certified exact tier and sheds heuristics instead.
-				d = d.Degrade()
+		d, routed := classify.Unrouted(), req.routeEnabled(s.cfg.Route)
+		if routed {
+			d = classify.Route(classify.Extract(in))
+		}
+		if rung.Degraded() {
+			// The ladder sheds the tier the decision ranks least
+			// important — the exact tier when unrouted; for adversarial
+			// instances the heuristics, keeping the certified exact tier.
+			d = d.Degrade()
+		}
+		optimizers, skips := classify.Ensemble(d, in.N(), seed, s.breaker.Allow)
+		for _, sk := range skips {
+			if sk.Reason == engine.SkipBreaker {
+				s.cfg.Metrics.Counter(MetricBreakerSkips).Inc()
 			}
+		}
+		if len(s.chaosRules) > 0 {
+			optimizers = chaos.Apply(s.chaosRules, optimizers,
+				append(append([]chaos.Option(nil), s.cfg.ChaosOptions...), chaos.WithSeed(seed))...)
+		}
+		if routed {
 			dec = &d
-			optimizers, skips = classify.Ensemble(d, in.N(), seed)
-			var brSkips []engine.SkipRecord
-			optimizers, brSkips = s.filterOpenSkips(optimizers)
-			skips = append(skips, brSkips...)
-			if len(s.chaosRules) > 0 {
-				optimizers = chaos.Apply(s.chaosRules, optimizers,
-					append(append([]chaos.Option(nil), s.cfg.ChaosOptions...), chaos.WithSeed(seed))...)
-			}
 			s.cfg.Metrics.Counter(MetricRouted).Inc()
 			s.cfg.Metrics.Counter(MetricRouteSkips).Add(int64(len(skips)))
 			// A reduced ensemble deserves a reduced slice of the budget:
@@ -853,8 +856,6 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 					defer cancel()
 				}
 			}
-		} else {
-			optimizers = s.qonEnsemble(in.N(), rung, seed)
 		}
 		rep, err = s.eng.Run(ctx, in, optimizers...)
 		if rep != nil {
@@ -876,37 +877,9 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 	return rep, dec, err
 }
 
-// qonEnsemble builds the request's optimizer set: sized to the
-// instance, degraded to heuristics-only above the degrade rung,
-// filtered by the circuit breaker, and wrapped with the configured
-// chaos faults.
-func (s *Server) qonEnsemble(n int, rung Rung, seed int64) []opt.Optimizer {
-	var optimizers []opt.Optimizer
-	if rung == RungFull {
-		// Exact optimizers, each within its applicable range so a
-		// too-large instance does not burn retries on out-of-range errors.
-		if n <= opt.MaxExhaustiveN {
-			optimizers = append(optimizers, opt.NewExhaustive())
-		}
-		if n <= opt.DefaultMaxDPN {
-			optimizers = append(optimizers, opt.NewDP(), opt.NewDPNoCross())
-		}
-		if n <= opt.DefaultMaxDPN+2 {
-			optimizers = append(optimizers, opt.NewDPParallel())
-		}
-		optimizers = append(optimizers, opt.NewIterativeImprovement(opt.WithSeed(seed), opt.WithRestarts(5)))
-	}
-	optimizers = append(optimizers, opt.Heuristics(opt.WithSeed(seed))...)
-	optimizers = s.filterOpen(optimizers)
-	if len(s.chaosRules) > 0 {
-		optimizers = chaos.Apply(s.chaosRules, optimizers,
-			append(append([]chaos.Option(nil), s.cfg.ChaosOptions...), chaos.WithSeed(seed))...)
-	}
-	return optimizers
-}
-
-// qohEnsemble is qonEnsemble for the QO_H plan search. Chaos wrapping
-// does not apply (the injectors target opt.Optimizer).
+// qohEnsemble builds the QO_H plan-search ensemble: qoh-exhaustive only
+// at the full rung and within its cap, open breaker circuits left out.
+// Chaos wrapping does not apply (the injectors target opt.Optimizer).
 func (s *Server) qohEnsemble(in *qoh.Instance, rung Rung, seed int64) []engine.QOHSearcher {
 	searchers := engine.QOHSearchers(opt.WithSeed(seed))
 	keep := searchers[:0]
@@ -926,36 +899,6 @@ func (s *Server) qohEnsemble(in *qoh.Instance, rung Rung, seed int64) []engine.Q
 		return engine.QOHSearchers(opt.WithSeed(seed))
 	}
 	return keep
-}
-
-// filterOpen drops optimizers whose breaker circuit is open, keeping at
-// least one: an ensemble emptied by the breaker half-opens instead.
-func (s *Server) filterOpen(optimizers []opt.Optimizer) []opt.Optimizer {
-	kept, _ := s.filterOpenSkips(optimizers)
-	return kept
-}
-
-// filterOpenSkips is filterOpen plus a SkipRecord per dropped
-// optimizer, so routed reports account for breaker skips alongside
-// routing skips.
-func (s *Server) filterOpenSkips(optimizers []opt.Optimizer) ([]opt.Optimizer, []engine.SkipRecord) {
-	keep := optimizers[:0]
-	var skips []engine.SkipRecord
-	for _, o := range optimizers {
-		if s.breaker.Allow(o.Name()) {
-			keep = append(keep, o)
-		} else {
-			s.cfg.Metrics.Counter(MetricBreakerSkips).Inc()
-			skips = append(skips, engine.SkipRecord{
-				Name: o.Name(), Reason: engine.SkipBreaker,
-				Detail: "circuit open after repeated quarantine",
-			})
-		}
-	}
-	if len(keep) == 0 {
-		return optimizers[:cap(keep)], nil
-	}
-	return keep, skips
 }
 
 // Result is the success document of POST /optimize.

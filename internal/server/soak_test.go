@@ -13,12 +13,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"approxqo/internal/chaos"
+	"approxqo/internal/engine"
 	"approxqo/internal/server"
 	"approxqo/internal/server/loadgen"
 	"approxqo/internal/trace"
@@ -27,18 +29,35 @@ import (
 const (
 	soakClients     = 64
 	soakReqsPerC    = 4
-	soakChaosSpec   = "panic:greedy-min-cost,stall:kbz,wrongcost:annealing"
+	soakChaosSpec   = "panic:greedy-min-cost,stall:kbz,wrongcost:greedy-min-size"
+	soakStall       = 3 * time.Millisecond
 	soakDrainAfter  = (soakClients * soakReqsPerC) / 2 // responses before Shutdown fires
 	soakMaxParallel = 4
 )
 
-// exactNames are the optimizers the heuristic rung must never run.
+// soakFaults holds, per injected fault of soakChaosSpec, the evidence in
+// a served run record that it fired. All three targets are greedy-tier
+// members, which both rungs run; the local tier (annealing, say) is
+// left out of full-rung ensembles whenever the serial DP is in reach.
+var soakFaults = map[string]func(engine.RunRecord) bool{
+	"panic:greedy-min-cost": func(r engine.RunRecord) bool { return r.Name == "greedy-min-cost" && r.Panicked },
+	"stall:kbz": func(r engine.RunRecord) bool {
+		return r.Name == "kbz" && r.WallMS >= float64(soakStall.Milliseconds())
+	},
+	"wrongcost:greedy-min-size": func(r engine.RunRecord) bool {
+		return r.Name == "greedy-min-size" && strings.Contains(r.CertError, "does not match")
+	},
+}
+
+// exactNames are the exact optimizers the heuristic rung must never
+// run: the serving ensemble's exact members (subset-dp up to n=16,
+// subset-dp-parallel above) plus the exact solvers kept out of serving
+// altogether.
 var exactNames = map[string]bool{
-	"exhaustive":            true,
-	"subset-dp":             true,
-	"subset-dp-no-cross":    true,
-	"subset-dp-parallel":    true,
-	"iterative-improvement": true,
+	"exhaustive":         true,
+	"subset-dp":          true,
+	"subset-dp-no-cross": true,
+	"subset-dp-parallel": true,
 }
 
 // soakRequest picks the j-th request of client i: mostly workload
@@ -92,9 +111,9 @@ func checkSuccess(res *server.Result, wantQOH bool) error {
 		return fmt.Errorf("uncertified winner %q served as 200", best.Winner)
 	}
 	// The permanently faulted optimizers can never produce a certified
-	// winner: greedy-min-cost always panics, annealing always lies about
-	// its cost and fails the audit.
-	if best.Winner == "greedy-min-cost" || best.Winner == "annealing" {
+	// winner: greedy-min-cost always panics, greedy-min-size always lies
+	// about its cost and fails the audit.
+	if best.Winner == "greedy-min-cost" || best.Winner == "greedy-min-size" {
 		if !wantQOH {
 			return fmt.Errorf("chaos-wrapped optimizer %q won", best.Winner)
 		}
@@ -196,7 +215,7 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 		RetryAfter:     2 * time.Millisecond,
 		Seed:           42,
 		ChaosSpec:      soakChaosSpec,
-		ChaosOptions:   []chaos.Option{chaos.WithStall(3 * time.Millisecond)},
+		ChaosOptions:   []chaos.Option{chaos.WithStall(soakStall)},
 		EngineGrace:    25 * time.Millisecond,
 		Metrics:        reg,
 	})
@@ -214,6 +233,7 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 		drainGate = make(chan struct{}) // closed once, at the half-way mark
 		gateOnce  sync.Once
 		wg        sync.WaitGroup
+		fired     sync.Map // soakFaults key → true once observed
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -244,6 +264,16 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 					}
 					if err := checkSuccess(out.Result, req.QOHInstance != nil && wantOK); err != nil {
 						errC <- fmt.Errorf("client %d request %d: %v", i, j, err)
+					}
+					for _, run := range out.Result.Report.Runs {
+						if out.Result.Degraded {
+							break // evidence is collected from full-rung reports
+						}
+						for fault, evident := range soakFaults {
+							if evident(run) {
+								fired.Store(fault, true)
+							}
+						}
 					}
 					continue
 				}
@@ -294,6 +324,14 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 	}
 	t.Logf("soak: %d responses (%d ok, %d degraded, %d rejected)",
 		total, oks.Load(), degraded.Load(), rejected.Load())
+	// A fault aimed at a member the full rung no longer runs would make
+	// the soak vacuous there: every injected fault must have fired in a
+	// full-rung report.
+	for fault := range soakFaults {
+		if _, ok := fired.Load(fault); !ok {
+			t.Errorf("injected fault %q never fired in a full-rung report", fault)
+		}
+	}
 
 	// Server-side accounting must balance: the fleet only POSTs, so
 	// every hit was either admitted or rejected at admission (decode
