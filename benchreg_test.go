@@ -3,8 +3,10 @@ package approxqo
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -264,11 +266,10 @@ func regServeOnce(b *testing.B, h http.Handler, path string, body []byte) {
 	}
 }
 
-// BenchmarkRegServeHit pins the cache-hit serve: an inline n=12
-// instance POSTed to /optimize with the certified-result cache warmed,
-// so each op is admission, decode, canonical identity, cache hit,
-// remap and encode — the allocation budget the pooled serving path is
-// accountable for.
+// BenchmarkRegServeHit pins the byte-identical replay: the body that
+// warmed the certified-result cache, POSTed to /optimize again, so
+// each op is admission, a SHA-256 of the body, the byte-identity index
+// lookup, remap and encode — no decode, no canonical identity.
 func BenchmarkRegServeHit(b *testing.B) {
 	s, err := server.New(server.Config{MaxConcurrent: 4, DegradeAt: 64, Seed: 1})
 	if err != nil {
@@ -281,6 +282,43 @@ func BenchmarkRegServeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regServeOnce(b, h, "/optimize", body)
+	}
+}
+
+// BenchmarkRegServeHitRelabeled pins the canonical cache hit: eight
+// pre-encoded relabelings of the warmed n=12 instance, cycled, and
+// never the warm-up body itself, so every op is admission, decode,
+// canonical identity, cache hit, remap and encode — the path a
+// relabeled duplicate takes, which the byte-identity index cannot
+// serve.
+func BenchmarkRegServeHitRelabeled(b *testing.B) {
+	s, err := server.New(server.Config{MaxConcurrent: 4, DegradeAt: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	regServeOnce(b, h, "/optimize", regServeBody(b, 12)) // warm the certified-result cache
+	in, err := workload.Generate(workload.Params{N: 12, Shape: workload.Random, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var bodies [][]byte
+	for len(bodies) < 8 {
+		perm := rng.Perm(in.N())
+		if sort.IntsAreSorted(perm) {
+			continue // the identity labeling is the warm-up body
+		}
+		body, err := json.Marshal(map[string]any{"job": map[string]any{"instance": qon.Relabel(in, perm)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		regServeOnce(b, h, "/optimize", bodies[i%len(bodies)])
 	}
 }
 

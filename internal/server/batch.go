@@ -110,8 +110,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		req.replicaTo = replicaTo
 		reqs[i] = req
 		key := ""
-		if s.cache != nil && len(s.chaosRules) == 0 {
+		if s.cacheActive() {
 			key = cacheKey(req)
+			req.rawKey = bodyKey(br.raw[i])
 		}
 		if key == "" {
 			key = fmt.Sprintf("\x00job\x00%d", i)

@@ -381,3 +381,53 @@ func TestBatchQueueDeadlinePerJob(t *testing.T) {
 		t.Fatalf("queue_deadline error carries no retry hint: %+v", br.Results[0].Error)
 	}
 }
+
+// Batch jobs carry their own byte identity (the SHA-256 of the job's
+// raw JSON): a byte-identical re-sent job is a plain hit, a relabeled
+// one a canonical hit. Batch stores never enter the /optimize
+// byte-identity index.
+func TestBatchCanonicalHitAttribution(t *testing.T) {
+	reg := trace.NewRegistry()
+	s, err := New(Config{MaxConcurrent: 2, Metrics: reg, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	base := testInstance(t, 8, 23)
+	rel := qon.Relabel(base, rand.New(rand.NewSource(9)).Perm(base.N()))
+	send := func(in *qon.Instance) *Result {
+		t.Helper()
+		resp, data := postBatch(t, ts.URL, batchBody(t, map[string]any{"instance": in}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d %s", resp.StatusCode, data)
+		}
+		item := decodeBatch(t, data).Results[0]
+		if item.Error != nil {
+			t.Fatalf("job failed: %+v", item.Error)
+		}
+		return item.Result
+	}
+	if send(base).Cached {
+		t.Fatal("first batch cannot hit")
+	}
+	if !send(base).Cached {
+		t.Fatal("byte-identical re-sent job missed the cache")
+	}
+	if ch := reg.Counter(MetricCanonicalHits).Value(); ch != 0 {
+		t.Fatalf("canonical_hits = %d after a byte-identical job, want 0", ch)
+	}
+	if !send(rel).Cached {
+		t.Fatal("relabeled job missed the cache")
+	}
+	if ch := reg.Counter(MetricCanonicalHits).Value(); ch != 1 {
+		t.Fatalf("canonical_hits = %d after a relabeled job, want 1", ch)
+	}
+	if h, b := reg.Counter(MetricCacheHits).Value(), reg.Counter(MetricBodyHits).Value(); h != 2 || b != 0 {
+		t.Fatalf("hits/body_hits = %d/%d, want 2/0", h, b)
+	}
+	if n := s.cache.bodyLen(); n != 0 {
+		t.Fatalf("batch store indexed %d body digests, want 0", n)
+	}
+}

@@ -4,13 +4,10 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"sync"
 
 	"approxqo/internal/cluster/replica"
 	"approxqo/internal/engine"
-	"approxqo/internal/qoh"
-	"approxqo/internal/qon"
 )
 
 // DefaultCacheSize is the result-cache capacity when Config.CacheSize
@@ -22,13 +19,16 @@ const DefaultCacheSize = 256
 // accepted, well-formed requests when caching is enabled; neither is
 // touched when the cache is disabled or bypassed (chaos injection).
 // Canonical hits are the subset of hits the fingerprint keying earned:
-// the stored entry was produced by a request whose raw JSON source
-// differed (a relabeling, reordered keys, different whitespace), so a
-// byte-identity cache would have missed.
+// the stored entry was produced by a request whose raw bytes differed
+// (a relabeling, reordered keys, different whitespace or timeout_ms),
+// so a byte-identity cache would have missed. Body hits are the subset
+// served by the byte-identity index, without decoding the body; the
+// two subsets are disjoint.
 const (
 	MetricCacheHits     = "server.cache.hits"
 	MetricCacheMisses   = "server.cache.misses"
 	MetricCanonicalHits = "server.cache.canonical_hits"
+	MetricBodyHits      = "server.cache.body_hits"
 	// MetricCacheMismatch counts hits whose stored report disagreed with
 	// the requesting instance's size — a corrupt or poisoned entry that
 	// key↔report binding should make impossible. The entry is evicted
@@ -56,47 +56,63 @@ func cacheKey(req *Request) string {
 	return replica.Key(req.model(), len(perm), fp)
 }
 
-// rawSourceKey hashes the decoded request's literal instance source —
-// the pre-canonicalization identity. The cache stores it alongside each
-// entry purely for attribution: a hit whose stored rawSourceKey differs
-// from the requester's is a canonical hit.
-func rawSourceKey(req *Request) string {
-	src := struct {
-		Model    string        `json:"model"`
-		Instance *qon.Instance `json:"instance,omitempty"`
-		QOH      *qoh.Instance `json:"qoh,omitempty"`
-		Workload *WorkloadSpec `json:"workload,omitempty"`
-	}{Model: req.model(), Instance: req.Instance, QOH: req.QOHInstance, Workload: req.Workload}
-	data, err := json.Marshal(&src)
-	if err != nil {
-		return ""
-	}
+// bodyKey is the byte identity of a request source: the hex SHA-256
+// of the exact bytes the client sent (a whole /optimize body, or one
+// batch job's raw JSON). The cache stores it with each entry for
+// canonical-hit attribution, and /optimize bodies double as the key of
+// the byte-identity index.
+func bodyKey(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// bodySource is what the byte-identity index needs to serve a replay
+// of the /optimize body that stored an entry without decoding it
+// again: the model, fingerprint and canonical permutation that body
+// resolved to. A byte-identical body resolves to the same instance, so
+// its permutation is the stored one. The body's digest is the entry's
+// rawKey.
+type bodySource struct {
+	model string
+	fp    string
+	perm  []int
 }
 
 // cacheEntry is one stored result: the full engine report of a
 // certified, full-rung run, with Best.Sequence remapped into the
 // instance's canonical label space, plus the raw source key of the
-// request that produced it (canonical-hit attribution).
+// request that produced it (canonical-hit attribution). src is set
+// only on entries a local /optimize request stored; the byte-identity
+// index maps rawKey, that body's digest, back to this entry.
 type cacheEntry struct {
 	key    string
 	rawKey string
 	rep    *engine.Report
+	src    *bodySource
 }
 
-// resultCache is a mutex-guarded LRU over canonical instance keys.
-// Stored reports are treated as immutable by all readers (handlers only
-// marshal them), so one *engine.Report may be served concurrently.
+// resultCache is a mutex-guarded LRU over canonical instance keys with
+// a second, byte-identity index: body digest → the entry its body
+// stored. Only the storing body is indexed, so the index never holds
+// more than the LRU does, and it loses a digest whenever its entry
+// leaves the cache or is replaced. Stored reports are treated as
+// immutable by all readers (handlers only marshal them), so one
+// *engine.Report may be served concurrently.
 type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List               // front = most recently used
-	items map[string]*list.Element // key → element holding *cacheEntry
+	mu     sync.Mutex
+	max    int
+	ll     *list.List               // front = most recently used
+	items  map[string]*list.Element // key → element holding *cacheEntry
+	bodies map[string]*list.Element // body digest → element it stored (src set)
 }
 
 func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+	return &resultCache{
+		max:    max,
+		ll:     list.New(),
+		items:  make(map[string]*list.Element),
+		bodies: make(map[string]*list.Element),
+	}
 }
 
 func (c *resultCache) get(key string) (*engine.Report, string, bool) {
@@ -111,20 +127,41 @@ func (c *resultCache) get(key string) (*engine.Report, string, bool) {
 	return ent.rep, ent.rawKey, true
 }
 
-func (c *resultCache) put(key, rawKey string, rep *engine.Report) {
+// getBody looks an entry up by the digest of the /optimize body that
+// stored it, refreshing it like get does.
+func (c *resultCache) getBody(digest string) (key string, rep *engine.Report, src *bodySource, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.bodies[digest]
+	if !ok {
+		return "", nil, nil, false
+	}
+	c.ll.MoveToFront(el)
+	ent := el.Value.(*cacheEntry)
+	return ent.key, ent.rep, ent.src, true
+}
+
+// put stores rep under key. A non-nil src marks a store by a local
+// /optimize request whose body digest is rawKey and indexes the entry
+// under it; nil (replica offers, batch jobs) stores it unindexed.
+// Replacing an entry drops the digest of the body that stored the old
+// one.
+func (c *resultCache) put(key, rawKey string, rep *engine.Report, src *bodySource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		ent.rep, ent.rawKey = rep, rawKey
+		c.unindex(el)
+		ent.rep, ent.rawKey, ent.src = rep, rawKey, src
+		c.index(el)
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, rawKey: rawKey, rep: rep})
+	el := c.ll.PushFront(&cacheEntry{key: key, rawKey: rawKey, rep: rep, src: src})
+	c.items[key] = el
+	c.index(el)
 	for c.ll.Len() > c.max {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
+		c.remove(c.ll.Back())
 	}
 }
 
@@ -135,8 +172,30 @@ func (c *resultCache) evict(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.remove(el)
+	}
+}
+
+// remove unlinks el from the LRU and both indexes. Callers hold c.mu.
+func (c *resultCache) remove(el *list.Element) {
+	c.unindex(el)
+	c.ll.Remove(el)
+	delete(c.items, el.Value.(*cacheEntry).key)
+}
+
+// index maps the digest of el's storing body to el. Callers hold c.mu.
+func (c *resultCache) index(el *list.Element) {
+	if ent := el.Value.(*cacheEntry); ent.src != nil {
+		c.bodies[ent.rawKey] = el
+	}
+}
+
+// unindex drops el's body digest from the byte-identity index. Callers
+// hold c.mu.
+func (c *resultCache) unindex(el *list.Element) {
+	if ent := el.Value.(*cacheEntry); ent.src != nil {
+		delete(c.bodies, ent.rawKey)
+		ent.src = nil
 	}
 }
 
@@ -145,6 +204,13 @@ func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// bodyLen reports the number of indexed body digests (tests).
+func (c *resultCache) bodyLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.bodies)
 }
 
 // keys snapshots every cached key, MRU first. The replication

@@ -211,7 +211,7 @@ func (s *Server) handleCacheOffer(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
-		s.cache.put(ent.Key, ent.RawKey, ent.Report)
+		s.cache.put(ent.Key, ent.RawKey, ent.Report, nil)
 		resp.Accepted++
 	}
 	s.cfg.Metrics.Counter(MetricCacheOfferAccepted).Add(int64(resp.Accepted))

@@ -170,7 +170,7 @@ func TestCacheDigestKeysExportRoundTrip(t *testing.T) {
 	var want []string
 	for i := 0; i < 5; i++ {
 		ent := replicaEntry(i)
-		s.cache.put(ent.Key, ent.RawKey, ent.Report)
+		s.cache.put(ent.Key, ent.RawKey, ent.Report, nil)
 		want = append(want, ent.Key)
 	}
 
@@ -429,7 +429,7 @@ func TestCacheHitMismatchedEntryEvictedNotServed(t *testing.T) {
 		t.Fatal("no cache key resolved")
 	}
 	poison := replicaEntry(1).Report // n=3, certified
-	s.cache.put(key, "poison-raw", poison)
+	s.cache.put(key, "poison-raw", poison, nil)
 
 	resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
 	if err != nil {

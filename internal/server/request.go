@@ -92,6 +92,14 @@ type Request struct {
 	// receive a copy of any certified result this request stores
 	// (X-Replicate-To header; empty means no fan-out).
 	replicaTo []string
+	// rawKey is the byte identity of the source the request was decoded
+	// from (bodyKey of the /optimize body or of the batch job's raw
+	// JSON); empty when caching is off or bypassed.
+	rawKey string
+	// wholeBody marks a request decoded from a whole /optimize body, so
+	// rawKey digests exactly what a byte-identical replay would send
+	// and the entry it stores can be indexed by it.
+	wholeBody bool
 	fpDone    bool
 	fp        string
 	perm      []int
@@ -311,6 +319,10 @@ type BatchRequest struct {
 	// Jobs are processed as one admission group per distinct instance
 	// shape; results come back in job order.
 	Jobs []*Job `json:"jobs"`
+
+	// raw holds each decoded job's exact JSON bytes, the source of its
+	// byte identity (bodyKey) for canonical-hit attribution.
+	raw []json.RawMessage
 }
 
 // DecodeBatchRequest parses one batch body and applies the batch-level
@@ -318,20 +330,26 @@ type BatchRequest struct {
 // is the handler's job — one invalid job yields a per-job error
 // document, not a batch-level failure.
 func DecodeBatchRequest(data []byte, maxJobs int) (*BatchRequest, error) {
-	var br BatchRequest
-	if err := json.Unmarshal(data, &br); err != nil {
+	var env struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("decoding batch request: %w", err)
 	}
-	if len(br.Jobs) == 0 {
+	if len(env.Jobs) == 0 {
 		return nil, fmt.Errorf("batch request needs a non-empty jobs array")
 	}
-	if maxJobs > 0 && len(br.Jobs) > maxJobs {
-		return nil, fmt.Errorf("batch has %d jobs, cap is %d", len(br.Jobs), maxJobs)
+	if maxJobs > 0 && len(env.Jobs) > maxJobs {
+		return nil, fmt.Errorf("batch has %d jobs, cap is %d", len(env.Jobs), maxJobs)
 	}
-	for i, j := range br.Jobs {
-		if j == nil {
+	br := &BatchRequest{Jobs: make([]*Job, len(env.Jobs)), raw: env.Jobs}
+	for i, raw := range env.Jobs {
+		if err := json.Unmarshal(raw, &br.Jobs[i]); err != nil {
+			return nil, fmt.Errorf("decoding batch request: job %d: %w", i, err)
+		}
+		if br.Jobs[i] == nil {
 			return nil, fmt.Errorf("job %d is null", i)
 		}
 	}
-	return &br, nil
+	return br, nil
 }

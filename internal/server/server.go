@@ -488,28 +488,41 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), 0)
 		return
 	}
-	req, err := DecodeRequest(body)
-	if err != nil {
-		m.Counter(MetricBadRequest).Inc()
-		span.SetField("kind", "bad_request")
-		writeErrorDocID(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
-		return
+	// The byte-identity index first: a body byte-identical to one that
+	// stored a cache entry is served from that entry without decode,
+	// validation or canonical labeling (DESIGN.md § Byte-identity cache
+	// index).
+	var out jobOutcome
+	var model, rawKey string
+	if s.cacheActive() {
+		rawKey = bodyKey(body)
+		out, model = s.serveBodyHit(rawKey, accepted)
 	}
-	span.SetField("model", req.model())
-	if s.peerAuthed(r) {
-		// The fan-out hint is only honored from authenticated cluster
-		// peers: an arbitrary client must not be able to direct this
-		// worker to POST cache offers at URLs of its choosing.
-		req.replicaTo = parseReplicaTo(r.Header.Get(ReplicateToHeader))
+	if !out.ok {
+		req, err := DecodeRequest(body)
+		if err != nil {
+			m.Counter(MetricBadRequest).Inc()
+			span.SetField("kind", "bad_request")
+			writeErrorDocID(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
+			return
+		}
+		req.rawKey, req.wholeBody = rawKey, true
+		model = req.model()
+		if s.peerAuthed(r) {
+			// The fan-out hint is only honored from authenticated cluster
+			// peers: an arbitrary client must not be able to direct this
+			// worker to POST cache offers at URLs of its choosing.
+			req.replicaTo = parseReplicaTo(r.Header.Get(ReplicateToHeader))
+		}
+
+		// The budget covers queueing, deduplication and optimization, so a
+		// request cannot occupy the queue longer than its caller is willing
+		// to wait.
+		ctx, cancel := context.WithTimeout(r.Context(), req.budget(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
+		defer cancel()
+		out = s.serveAdmitted(ctx, req, rung, accepted)
 	}
-
-	// The budget covers queueing, deduplication and optimization, so a
-	// request cannot occupy the queue longer than its caller is willing
-	// to wait.
-	ctx, cancel := context.WithTimeout(r.Context(), req.budget(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	out := s.serveAdmitted(ctx, req, rung, accepted)
+	span.SetField("model", model)
 	if !out.ok {
 		span.SetField("kind", out.kind)
 		writeErrorDocID(w, rid, out.status, out.kind, out.msg, out.retryAfter)
@@ -517,9 +530,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	if out.cached {
 		span.SetField("kind", "cache_hit")
+		span.SetField("cache_path", out.cachePath)
 	}
 	span.SetField("status", http.StatusOK)
-	writeJSON(w, http.StatusOK, out.result(req.model()))
+	writeJSON(w, http.StatusOK, out.result(model))
 	// The response bytes are written: the pooled report and remap view
 	// (if any) can go back to their pools.
 	out.close()
@@ -534,14 +548,15 @@ type jobOutcome struct {
 	kind, msg  string
 	retryAfter time.Duration
 
-	rep     *engine.Report // in the requester's label space
-	view    *reportView    // pooled remap state backing rep on cache hits
-	rung    Rung           // rung the result was served at (full for cache hits)
-	cached  bool
-	routing *classify.Decision // non-nil when the adaptive router picked the ensemble
-	fp      string             // instance fingerprint when canonical identity resolved
-	queueMS float64
-	wallMS  float64
+	rep       *engine.Report // in the requester's label space
+	view      *reportView    // pooled remap state backing rep on cache hits
+	rung      Rung           // rung the result was served at (full for cache hits)
+	cached    bool
+	cachePath string             // lookup that served a cache hit: cachePathBody or cachePathCanonical
+	routing   *classify.Decision // non-nil when the adaptive router picked the ensemble
+	fp        string             // instance fingerprint when canonical identity resolved
+	queueMS   float64
+	wallMS    float64
 }
 
 // close releases the outcome's pooled state — the engine report (a
@@ -593,42 +608,17 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 	// behaviour must stay per-request, never served from memory. Stored
 	// reports live in canonical label space; hits remap them into the
 	// requester's labels through the inverse canonical permutation.
-	var key, rawKey string
-	if s.cache != nil && len(s.chaosRules) == 0 {
+	var key string
+	if s.cacheActive() {
 		key = cacheKey(req)
-		rawKey = rawSourceKey(req)
 		out.fp, _, _ = req.canonicalID()
 	}
 	for key != "" {
 		if rep, storedRaw, ok := s.cache.get(key); ok {
-			// A stored report is always a certified full-rung result, so
-			// the hit is served at the full rung regardless of the rung
-			// this request was admitted at.
+			// A hit from an entry some other source stored exists only
+			// because of canonical keying.
 			_, perm, _ := req.canonicalID()
-			if rep == nil || rep.N != len(perm) || rep.Best == nil || len(rep.Best.Sequence) != rep.N {
-				// The stored report disagrees with the requesting
-				// instance's size: serving it would remap out of bounds.
-				// Key↔report binding at the replication trust boundary
-				// makes this unreachable, but the cache is also fed by
-				// local stores and must never crash on its own contents —
-				// evict the corrupt entry and run for real.
-				m.Counter(MetricCacheMismatch).Inc()
-				s.cache.evict(key)
-			} else {
-				m.Counter(MetricCacheHits).Inc()
-				if storedRaw != rawKey {
-					// The stored entry came from a different raw source —
-					// this hit exists only because of canonical keying.
-					m.Counter(MetricCanonicalHits).Inc()
-				}
-				wall := time.Since(accepted)
-				m.Histogram(MetricRequestWallUS).Observe(wall.Microseconds())
-				out.ok = true
-				out.status = http.StatusOK
-				out.rung = RungFull
-				out.cached = true
-				out.rep, out.view = viewRemapped(rep, invertPerm(perm))
-				out.wallMS = float64(wall.Microseconds()) / 1000
+			if s.serveHit(&out, key, rep, perm, cachePathCanonical, storedRaw != req.rawKey, accepted) {
 				return out
 			}
 		}
@@ -686,13 +676,20 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 		// into canonical label space so any relabeling of this instance
 		// can be served from it, and detached so it survives the pooled
 		// report's release.
-		if _, perm, cerr := req.canonicalID(); cerr == nil {
+		if fp, perm, cerr := req.canonicalID(); cerr == nil {
 			canon := detachRemapped(rep, perm)
-			s.cache.put(key, rawKey, canon)
+			// A whole /optimize body also indexes the entry by its digest,
+			// so byte-identical replays skip decode (serveBodyHit).
+			var src *bodySource
+			if req.wholeBody {
+				src = &bodySource{model: req.model(), fp: fp, perm: perm}
+			}
+			s.cache.put(key, req.rawKey, canon, src)
 			// Replicate the canonical copy to the ring successors the
 			// coordinator named, asynchronously — the response below never
-			// waits on a peer.
-			s.replicate(req.replicaTo, &replica.Entry{Key: key, RawKey: rawKey, Report: canon})
+			// waits on a peer. Offers carry no body, so replicas never
+			// index them.
+			s.replicate(req.replicaTo, &replica.Entry{Key: key, RawKey: req.rawKey, Report: canon})
 		}
 	}
 	if err != nil {
@@ -713,6 +710,72 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 	out.queueMS = float64(queueWait.Microseconds()) / 1000
 	out.wallMS = float64(wall.Microseconds()) / 1000
 	return out
+}
+
+// Cache paths, the server.request span's cache_path field on a hit.
+const (
+	cachePathBody      = "body"      // byte-identity index: the body that stored the entry, replayed
+	cachePathCanonical = "canonical" // canonical key: decoded and canonically labeled first
+)
+
+// cacheActive reports whether requests consult the result cache: it is
+// enabled and no chaos rules are set (fault behaviour must stay
+// per-request).
+func (s *Server) cacheActive() bool { return s.cache != nil && len(s.chaosRules) == 0 }
+
+// serveBodyHit serves a byte-identical replay of an /optimize body
+// that stored a cache entry, from the byte-identity index: no decode,
+// no validation, no canonical labeling — the stored permutation and
+// fingerprint are the ones this body resolves to. out.ok is false on
+// an index miss or a failed size check; the caller then decodes.
+func (s *Server) serveBodyHit(rawKey string, accepted time.Time) (out jobOutcome, model string) {
+	key, rep, src, found := s.cache.getBody(rawKey)
+	if !found {
+		return out, ""
+	}
+	out.fp = src.fp
+	if !s.serveHit(&out, key, rep, src.perm, cachePathBody, false, accepted) {
+		return jobOutcome{}, ""
+	}
+	return out, src.model
+}
+
+// serveHit fills out with a cache hit on rep, the canonical-space
+// report stored under key, for a requester whose labels map into
+// canonical space through perm. Both cache paths serve through it, so
+// they share the size-binding check, the metrics and the pooled remap.
+// canonicalOnly marks a hit a byte-identity cache would have missed.
+// A stored report is always a certified full-rung result, so the hit
+// is served at the full rung whatever rung the request was admitted at.
+func (s *Server) serveHit(out *jobOutcome, key string, rep *engine.Report, perm []int, path string, canonicalOnly bool, accepted time.Time) bool {
+	m := s.cfg.Metrics
+	if rep == nil || rep.N != len(perm) || rep.Best == nil || len(rep.Best.Sequence) != rep.N {
+		// The stored report disagrees with the requesting instance's
+		// size: serving it would remap out of bounds. Key↔report binding
+		// at the replication trust boundary makes this unreachable, but
+		// the cache is also fed by local stores and must never crash on
+		// its own contents — evict the corrupt entry and run for real.
+		m.Counter(MetricCacheMismatch).Inc()
+		s.cache.evict(key)
+		return false
+	}
+	m.Counter(MetricCacheHits).Inc()
+	if path == cachePathBody {
+		m.Counter(MetricBodyHits).Inc()
+	}
+	if canonicalOnly {
+		m.Counter(MetricCanonicalHits).Inc()
+	}
+	wall := time.Since(accepted)
+	m.Histogram(MetricRequestWallUS).Observe(wall.Microseconds())
+	out.ok = true
+	out.status = http.StatusOK
+	out.rung = RungFull
+	out.cached = true
+	out.cachePath = path
+	out.rep, out.view = viewRemapped(rep, invertPerm(perm))
+	out.wallMS = float64(wall.Microseconds()) / 1000
+	return true
 }
 
 // reportView is the pooled per-response state of a label remap: a
