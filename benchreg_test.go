@@ -174,6 +174,35 @@ func BenchmarkRegFingerprint(b *testing.B) {
 	}
 }
 
+// BenchmarkRegFingerprintSymmetric pins canonicalization where the
+// search, not refinement, does the work: each op fingerprints one
+// cliquered-yes n=13 and one cliquered-no n=16 instance — the f_N
+// reduction's uniform cliques, whose automorphism groups are large, so
+// the search tree is wide and automorphism pruning decides its size.
+// cliquered-no n=16 is the slowest instance of the serving families.
+func BenchmarkRegFingerprintSymmetric(b *testing.B) {
+	var ins []*qon.Instance
+	for _, sp := range []workload.Spec{
+		{Shape: string(workload.CliqueredYes), N: 13, Seed: 1},
+		{Shape: string(workload.CliqueredNo), N: 16, Seed: 1},
+	} {
+		in, err := sp.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			if qon.Fingerprint(in) == "" {
+				b.Fatal("empty fingerprint")
+			}
+		}
+	}
+}
+
 // BenchmarkRegClassify pins the adaptive router's per-request cost at
 // n=16: each op extracts features and routes one star, one chain and
 // one clique instance. The classifier sits on the serving hot path of
@@ -319,6 +348,33 @@ func BenchmarkRegServeHitRelabeled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regServeOnce(b, h, "/optimize", bodies[i%len(bodies)])
+	}
+}
+
+// BenchmarkRegServeDecode pins the decode stage of a relabeled cache
+// hit on its own: DecodeRequest on pre-encoded relabeled bodies of a
+// random n=12 and a random n=16 instance, alternating — the one-pass
+// instance scan, the num parser and validation, without the HTTP
+// layer or canonical labeling around it.
+func BenchmarkRegServeDecode(b *testing.B) {
+	var bodies [][]byte
+	for _, n := range []int{12, 16} {
+		in := regInstance(b, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < 4; k++ {
+			body, err := json.Marshal(map[string]any{"job": map[string]any{"instance": qon.Relabel(in, rng.Perm(n))}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := server.DecodeRequest(bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -23,13 +23,14 @@
 //     chosen (a label-invariant cell), one candidate is individualized,
 //     the partition is re-refined, and the search recurses; the
 //     canonical encoding is the lexicographic minimum over all explored
-//     completions. Two prunes keep the tree small: branches whose
-//     partial encoding already exceeds the best found are cut, and
+//     completions. Three prunes keep the tree small: branches whose
+//     partial encoding already exceeds the best found are cut;
 //     candidates that are pairwise twins (swapping them is an
 //     automorphism) collapse to one representative — the uniform-weight
 //     hardness instances (cliques from the f_N reduction, star gadgets)
 //     are fully symmetric, and twin classes reduce their search to a
-//     single path.
+//     single path; and candidates in the orbit of an explored sibling
+//     under the automorphisms found so far are skipped (see search).
 //
 // Hash collisions in the color refinement are harmless for
 // correctness: colors only steer the search, and they are
@@ -38,26 +39,36 @@
 // isomorphic trees. The final comparison is on full encoding bytes.
 package graph
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+)
 
-// CanonData describes a structure to canonicalize. All three callbacks
-// must be label-invariant data accessors (they may depend on the
-// vertex identities only through the data they return), and the
-// returned bytes must not contain 0x00 — the encoder uses NUL as its
-// component separator.
+// CanonData describes a structure to canonicalize. Both callbacks must
+// be label-invariant data accessors (they may depend on the vertex
+// identities only through the data they append), and the appended
+// bytes must not contain 0x00 — the encoder uses NUL as its component
+// separator. Each callback appends to dst and returns the extended
+// slice; CanonicalOrder calls VertexBytes once per vertex and
+// PairBytes once per ordered pair, into one shared arena.
 type CanonData struct {
 	// N is the vertex count.
 	N int
-	// VertexBytes returns the per-vertex data of v (e.g. its relation
+	// VertexBytes appends the per-vertex data of v (e.g. its relation
 	// size), exact values included.
-	VertexBytes func(v int) []byte
-	// PairBytes returns u's complete view of the ordered pair (u, v):
+	VertexBytes func(dst []byte, v int) []byte
+	// PairBytes appends u's complete view of the ordered pair (u, v):
 	// adjacency, selectivity, and any direction-dependent weights of
 	// both orientations. The encoding stores PairBytes(v, u) for every
 	// pair placed u-before-v, so the pair data of both directions must
 	// be recoverable from that single call.
-	PairBytes func(u, v int) []byte
+	PairBytes func(dst []byte, u, v int) []byte
 }
+
+// individualizeSeed derives the color an individualized vertex takes
+// at depth d: fnvU64(individualizeSeed, d), the same for every
+// candidate.
+const individualizeSeed = 0x9e3779b97f4a7c15
 
 // CanonicalOrder returns ord — ord[k] is the original vertex placed at
 // canonical position k — and the canonical encoding: the
@@ -66,151 +77,268 @@ type CanonData struct {
 // predecessors. Isomorphic structures yield identical encodings;
 // identical encodings imply isomorphic structures.
 func CanonicalOrder(d CanonData) ([]int, []byte) {
+	return canonicalOrder(d, 2*d.N)
+}
+
+// canonicalOrder is CanonicalOrder keeping at most maxAutos
+// automorphisms for orbit pruning; 0 turns orbit pruning off.
+func canonicalOrder(d CanonData, maxAutos int) ([]int, []byte) {
 	n := d.N
 	if n == 0 {
 		return []int{}, []byte{}
 	}
-	c := &canonizer{n: n}
-	c.vb = make([][]byte, n)
-	for v := 0; v < n; v++ {
-		c.vb[v] = d.VertexBytes(v)
-	}
-	c.pb = make([][][]byte, n)
-	c.pc = make([][]uint64, n)
-	for u := 0; u < n; u++ {
-		c.pb[u] = make([][]byte, n)
-		c.pc[u] = make([]uint64, n)
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			c.pb[u][v] = d.PairBytes(u, v)
-			c.pc[u][v] = fnvBytes(fnvOffset, c.pb[u][v])
-		}
-	}
+	c := newCanonizer(d, maxAutos)
 	c.computeTwins()
 
 	// Seed colors: vertex bytes + sorted multiset of pair codes.
-	colors := make([]uint64, n)
-	sig := make([]uint64, 0, n-1)
+	colors, sig := c.cur, c.sig
 	for v := 0; v < n; v++ {
 		sig = sig[:0]
 		for u := 0; u < n; u++ {
 			if u != v {
-				sig = append(sig, c.pc[v][u])
+				sig = append(sig, c.pc[v*n+u])
 			}
 		}
-		sortU64(sig)
-		h := fnvBytes(fnvOffset, c.vb[v])
+		slices.Sort(sig)
+		h := fnvBytes(fnvOffset, c.vb(v))
 		for _, s := range sig {
 			h = fnvU64(h, s)
 		}
 		colors[v] = h
 	}
-	colors = c.refine(colors)
-
-	c.ord = make([]int, 0, n)
-	c.placed = make([]bool, n)
-	c.buf = make([]byte, 0, 256)
-	c.search(colors, 0, 0, false)
+	c.refine(c.levels[0].colors)
+	c.search(0, 0, false)
 
 	ord := make([]int, n)
 	copy(ord, c.bestOrd)
 	return ord, c.best
 }
 
-// canonizer carries the search state of one CanonicalOrder call.
+// canonizer carries the search state of one CanonicalOrder call. Its
+// buffers are carved from a few slabs sized from n up front, so a call
+// allocates a handful of objects however wide the search grows (only
+// the automorphism list and the row stack may grow, by doubling).
 type canonizer struct {
-	n    int
-	vb   [][]byte   // vertex bytes
-	pb   [][][]byte // pair bytes, pb[u][v] = u's view of (u,v)
-	pc   [][]uint64 // hash of pb
-	twin [][]bool   // twin[u][v]: swapping u and v is an automorphism
+	n int
+	// arena holds every vertex's bytes, then every ordered pair's, as
+	// the callbacks appended them; entry i spans arena[off[i]:off[i+1]],
+	// vertex v is entry v and the pair (u, v) entry n + u·n + v (empty
+	// on the diagonal).
+	arena []byte
+	off   []int
+	pc    []uint64 // pc[u·n+v]: hash of the pair bytes of (u, v)
+	twin  []bool   // twin[u·n+v]: swapping u and v is an automorphism
+
+	cur, next, sorted, sig []uint64 // refinement scratch
+	levels                 []level  // per-depth search scratch
+	// rows is a stack of candidate rows: each node appends its
+	// candidates' rows above its ancestors' and truncates on return.
+	rows []byte
 
 	ord     []int  // current prefix (original vertex per position)
 	placed  []bool // membership of ord
 	buf     []byte // encoding of the current prefix
+	found   bool   // best holds a complete encoding
 	best    []byte // least complete encoding found
 	bestOrd []int  // its ordering
+
+	// autos holds automorphisms found at leaves equal to best, each a
+	// permutation of n entries, at most maxAutos of them. prunable is
+	// cleared the first time a leaf is accepted under alreadyLess; see
+	// search for why orbit pruning is sound only before that.
+	autos    []int
+	maxAutos int
+	prunable bool
 }
+
+// level is the scratch of one search depth: the refined partition the
+// node was entered with, its candidate representatives with their
+// rows' offsets in the rows stack, the exploration order, and the
+// orbit partition of the candidates under the automorphisms fixing the
+// prefix.
+type level struct {
+	colors   []uint64
+	reps     []int
+	rowOff   []int
+	idx      []int
+	orbit    []int // union-find parent per vertex
+	explored []int
+}
+
+func newCanonizer(d CanonData, maxAutos int) *canonizer {
+	n := d.N
+	c := &canonizer{n: n, maxAutos: maxAutos, prunable: true}
+	entries := n + n*n
+	ints := make([]int, entries+1+2*n+n*(5*n+1))
+	c.off, ints = ints[:entries+1], ints[entries+1:]
+	c.ord, c.bestOrd, ints = ints[:0:n], ints[n:n:2*n], ints[2*n:]
+	c.arena = make([]byte, 0, 64*n)
+	for v := 0; v < n; v++ {
+		c.arena = d.VertexBytes(c.arena, v)
+		c.off[v+1] = len(c.arena)
+	}
+	for u := 0; u < n; u++ {
+		if u == 1 {
+			// Reserve the remaining rows at the first row's size.
+			c.arena = slices.Grow(c.arena, (len(c.arena)-c.off[n])*(n-1)*9/8)
+		}
+		for v := 0; v < n; v++ {
+			if u != v {
+				c.arena = d.PairBytes(c.arena, u, v)
+			}
+			c.off[n+u*n+v+1] = len(c.arena)
+		}
+	}
+
+	u64 := make([]uint64, n*n+4*n+n*n)
+	c.pc, u64 = u64[:n*n], u64[n*n:]
+	for i := range c.pc {
+		c.pc[i] = fnvBytes(fnvOffset, c.entry(n+i))
+	}
+	c.cur, c.next, c.sorted, c.sig, u64 = u64[:n:n], u64[n:2*n:2*n], u64[2*n:3*n:3*n], u64[3*n:4*n:4*n], u64[4*n:]
+	c.levels = make([]level, n)
+	for d := range c.levels {
+		l := &c.levels[d]
+		l.colors, u64 = u64[:n:n], u64[n:]
+		l.reps, l.idx, l.explored, l.orbit = ints[0:0:n], ints[n:n:2*n], ints[2*n:2*n:3*n], ints[3*n:4*n:4*n]
+		l.rowOff, ints = ints[4*n:4*n:5*n+1], ints[5*n+1:]
+	}
+	bools := make([]bool, n+n*n)
+	c.placed, c.twin = bools[:n], bools[n:]
+	enc := (len(c.arena)+c.off[n])/2 + n*n + n // vertex bytes, half the pair bytes, NULs
+	bs := make([]byte, 0, 2*enc+len(c.arena)/2)
+	c.buf, c.best, c.rows = bs[0:0:enc], bs[enc:enc:2*enc], bs[2*enc:2*enc]
+	return c
+}
+
+func (c *canonizer) entry(i int) []byte { return c.arena[c.off[i]:c.off[i+1]] }
+
+// vb returns the vertex bytes of v.
+func (c *canonizer) vb(v int) []byte { return c.entry(v) }
+
+// pb returns the pair bytes of (u, v): u's view of the pair.
+func (c *canonizer) pb(u, v int) []byte { return c.entry(c.n + u*c.n + v) }
 
 // computeTwins marks vertex pairs whose transposition is an
 // automorphism: identical vertex bytes, consistent cross-pair bytes,
 // and identical views of every third vertex. Pairwise twins within a
 // candidate cell are interchangeable — their search subtrees produce
-// identical encodings — so only one representative is explored.
+// identical encodings — so only one representative is explored. Pair
+// codes are compared before bytes: unequal hashes rule a pair out
+// without touching the arena.
 func (c *canonizer) computeTwins() {
 	n := c.n
-	c.twin = make([][]bool, n)
-	for u := 0; u < n; u++ {
-		c.twin[u] = make([]bool, n)
+	same := func(a, b int) bool { // pair (a) and pair (b) carry equal bytes
+		return c.pc[a] == c.pc[b] && bytes.Equal(c.entry(n+a), c.entry(n+b))
 	}
 	for u := 0; u < n; u++ {
 	pair:
 		for v := u + 1; v < n; v++ {
-			if !bytesEq(c.vb[u], c.vb[v]) || !bytesEq(c.pb[u][v], c.pb[v][u]) {
+			if !bytes.Equal(c.vb(u), c.vb(v)) || !same(u*n+v, v*n+u) {
 				continue
 			}
 			for w := 0; w < n; w++ {
 				if w == u || w == v {
 					continue
 				}
-				if !bytesEq(c.pb[u][w], c.pb[v][w]) || !bytesEq(c.pb[w][u], c.pb[w][v]) {
+				if !same(u*n+w, v*n+w) || !same(w*n+u, w*n+v) {
 					continue pair
 				}
 			}
-			c.twin[u][v], c.twin[v][u] = true, true
+			c.twin[u*n+v], c.twin[v*n+u] = true, true
 		}
 	}
 }
 
-// refine runs WL-style color refinement to a fixed point: each round
+// refine runs WL-style color refinement to a fixed point on the
+// coloring held in c.cur and writes the result to dst: each round
 // rehashes every vertex with the sorted multiset of (color, pair code)
 // over all other vertices, stopping when the class count stops
 // growing (or everything is discrete).
-func (c *canonizer) refine(colors []uint64) []uint64 {
+func (c *canonizer) refine(dst []uint64) {
 	n := c.n
-	cur := append([]uint64(nil), colors...)
-	next := make([]uint64, n)
-	sig := make([]uint64, 0, n-1)
-	classes := countDistinct(cur)
+	cur, next := c.cur, c.next
+	sig := c.sig[:0]
+	classes := c.countDistinct(cur)
 	for round := 0; round < n && classes < n; round++ {
 		for v := 0; v < n; v++ {
 			sig = sig[:0]
+			row := c.pc[v*n : v*n+n]
 			for u := 0; u < n; u++ {
 				if u != v {
-					sig = append(sig, fnvU64(cur[u], c.pc[v][u]))
+					sig = append(sig, fnvU64(cur[u], row[u]))
 				}
 			}
-			sortU64(sig)
+			slices.Sort(sig)
 			h := fnvU64(fnvOffset, cur[v])
 			for _, s := range sig {
 				h = fnvU64(h, s)
 			}
 			next[v] = h
 		}
-		nc := countDistinct(next)
+		nc := c.countDistinct(next)
 		if nc <= classes {
 			break
 		}
 		classes = nc
 		cur, next = next, cur
 	}
-	return cur
+	copy(dst, cur)
 }
 
-// search extends the current prefix by every canonical candidate.
-// off is the length of buf known equal to best; alreadyLess marks a
-// branch strictly below the current best.
-func (c *canonizer) search(colors []uint64, depth, off int, alreadyLess bool) {
+// countDistinct counts the distinct values of vs, sorting a copy.
+func (c *canonizer) countDistinct(vs []uint64) int {
+	s := c.sorted
+	copy(s, vs)
+	slices.Sort(s)
+	k := 1
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[i-1] {
+			k++
+		}
+	}
+	return k
+}
+
+// search extends the current prefix by every canonical candidate. The
+// node's partition is c.levels[depth].colors; off is the length of buf
+// known equal to best; alreadyLess marks a branch strictly below the
+// current best.
+//
+// Orbit pruning. A leaf whose encoding equals best yields an
+// automorphism γ: bestOrd[k] ↦ ord[k] (recordAuto). The stored
+// automorphisms that fix the node's prefix pointwise generate a group
+// whose orbits partition the candidates, and a candidate w in the orbit
+// of a sibling v explored before it is skipped. Some γ in the group
+// maps v's subtree onto w's (colors, cells and twin classes are
+// functions of the data, which γ preserves), so both hold the same leaf
+// encodings. While every leaf has been accepted only for being strictly
+// below best, best never rises and is at most every leaf of an explored
+// or pruned subtree, so no leaf or prefix of w's subtree compares below
+// it: exploring it could change neither best nor bestOrd. Leaves under
+// alreadyLess are accepted without comparison (the last one of such a
+// subtree wins), which breaks that invariant; the first one turns orbit
+// pruning off for the rest of the search, so the result stays exactly
+// that of the unpruned search. Nodes under alreadyLess never prune by
+// orbit.
+func (c *canonizer) search(depth, off int, alreadyLess bool) {
 	n := c.n
 	if depth == n {
-		if c.best == nil || alreadyLess || lexLess(c.buf, c.best) {
-			c.best = append(c.best[:0:0], c.buf...)
-			c.bestOrd = append(c.bestOrd[:0:0], c.ord...)
+		switch {
+		case !c.found || alreadyLess || lexLess(c.buf, c.best):
+			if alreadyLess {
+				c.prunable = false
+			}
+			c.found = true
+			c.best = append(c.best[:0], c.buf...)
+			c.bestOrd = append(c.bestOrd[:0], c.ord...)
+		case len(c.autos) < c.maxAutos*n && bytes.Equal(c.buf, c.best):
+			c.recordAuto()
 		}
 		return
 	}
+	l := &c.levels[depth]
+	colors := l.colors
 	// Target cell: unplaced vertices of minimal color. The color values
 	// are data-derived hashes, so the cell is label-invariant.
 	var minColor uint64
@@ -222,21 +350,18 @@ func (c *canonizer) search(colors []uint64, depth, off int, alreadyLess bool) {
 			}
 		}
 	}
-	var cands []int
-	for v := 0; v < n; v++ {
-		if !c.placed[v] && colors[v] == minColor {
-			cands = append(cands, v)
-		}
-	}
 	// Collapse twin classes: one representative each. Classes are built
 	// greedily requiring pairwise twin-ness, so every transposition
 	// within a class is an automorphism and the pruned subtrees are
 	// byte-identical to the explored one.
-	reps := cands[:0]
-	for _, v := range cands {
+	reps := l.reps[:0]
+	for v := 0; v < n; v++ {
+		if c.placed[v] || colors[v] != minColor {
+			continue
+		}
 		dup := false
 		for _, r := range reps {
-			if c.twin[r][v] {
+			if c.twin[r*n+v] {
 				dup = true
 				break
 			}
@@ -245,51 +370,129 @@ func (c *canonizer) search(colors []uint64, depth, off int, alreadyLess bool) {
 			reps = append(reps, v)
 		}
 	}
+	l.reps = reps
 	// Explore cheapest row first so the best tightens early.
-	rows := make([][]byte, len(reps))
-	for i, v := range reps {
-		rows[i] = c.row(v)
+	rowsMark := len(c.rows)
+	l.rowOff = append(l.rowOff[:0], rowsMark)
+	for _, v := range reps {
+		c.rows = c.appendRow(c.rows, v)
+		l.rowOff = append(l.rowOff, len(c.rows))
 	}
-	idx := make([]int, len(reps))
-	for i := range idx {
-		idx[i] = i
+	row := func(i int) []byte { return c.rows[l.rowOff[i]:l.rowOff[i+1]] }
+	l.idx = l.idx[:0]
+	for i := range reps {
+		l.idx = append(l.idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return lexLess(rows[idx[a]], rows[idx[b]]) })
+	if len(reps) > 1 {
+		slices.SortStableFunc(l.idx, func(a, b int) int { return bytes.Compare(row(a), row(b)) })
+	}
 
+	l.explored = l.explored[:0]
+	nAutos := -1 // autos count the orbit partition was built from
 	mark := len(c.buf)
-	for _, j := range idx {
+	for _, j := range l.idx {
 		v := reps[j]
-		c.buf = append(c.buf, rows[j]...)
+		if len(l.explored) > 0 && !alreadyLess && c.prunable && len(c.autos) > 0 {
+			if nAutos != len(c.autos) {
+				c.buildOrbits(l)
+				nAutos = len(c.autos)
+			}
+			if c.inExploredOrbit(l, v) {
+				continue
+			}
+		}
+		l.explored = append(l.explored, v)
+		c.buf = append(c.buf, row(j)...)
 		less, prune := alreadyLess, false
 		newOff := off
-		if c.best != nil && !less {
+		if c.found && !less {
 			less, prune, newOff = c.compare(off)
 		}
 		if !prune {
 			c.ord = append(c.ord, v)
 			c.placed[v] = true
-			child := append([]uint64(nil), colors...)
-			child[v] = fnvU64(0x9e3779b97f4a7c15, uint64(depth))
-			c.search(c.refine(child), depth+1, newOff, less)
+			if depth+1 < n { // a leaf reads no colors
+				copy(c.cur, colors)
+				c.cur[v] = fnvU64(individualizeSeed, uint64(depth))
+				c.refine(c.levels[depth+1].colors)
+			}
+			c.search(depth+1, newOff, less)
 			c.placed[v] = false
 			c.ord = c.ord[:len(c.ord)-1]
 		}
 		c.buf = c.buf[:mark]
 	}
+	c.rows = c.rows[:rowsMark]
 }
 
-// row is the encoding contribution of placing v next: its vertex bytes
-// then its pair view against each placed vertex in prefix order, all
-// NUL-separated.
-func (c *canonizer) row(v int) []byte {
-	out := make([]byte, 0, 16*(len(c.ord)+1))
-	out = append(out, c.vb[v]...)
-	out = append(out, 0)
-	for _, u := range c.ord {
-		out = append(out, c.pb[v][u]...)
-		out = append(out, 0)
+// recordAuto stores γ: bestOrd[k] ↦ ord[k] for a leaf whose encoding
+// equals best. Equal encodings give every vertex and every pair placed
+// later-before-earlier the same bytes under γ, and by the CanonData
+// contract those pair bytes determine the other orientation's, so γ
+// preserves all of the data: it is an automorphism.
+func (c *canonizer) recordAuto() {
+	n := c.n
+	base := len(c.autos)
+	c.autos = slices.Grow(c.autos, n)[:base+n]
+	for k, v := range c.bestOrd {
+		c.autos[base+v] = c.ord[k]
 	}
-	return out
+}
+
+// buildOrbits rebuilds l.orbit as the union-find of the orbits of the
+// stored automorphisms that fix the current prefix pointwise.
+func (c *canonizer) buildOrbits(l *level) {
+	n := c.n
+	for v := range l.orbit {
+		l.orbit[v] = v
+	}
+next:
+	for a := 0; a < len(c.autos); a += n {
+		g := c.autos[a : a+n]
+		for _, p := range c.ord {
+			if g[p] != p {
+				continue next
+			}
+		}
+		for v, w := range g {
+			if rv, rw := find(l.orbit, v), find(l.orbit, w); rv != rw {
+				l.orbit[rw] = rv
+			}
+		}
+	}
+}
+
+// inExploredOrbit reports whether v shares an orbit with a sibling the
+// node has already explored.
+func (c *canonizer) inExploredOrbit(l *level, v int) bool {
+	rv := find(l.orbit, v)
+	for _, u := range l.explored {
+		if find(l.orbit, u) == rv {
+			return true
+		}
+	}
+	return false
+}
+
+func find(parent []int, v int) int {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
+}
+
+// appendRow appends the encoding contribution of placing v next: its
+// vertex bytes then its pair view against each placed vertex in prefix
+// order, all NUL-separated.
+func (c *canonizer) appendRow(dst []byte, v int) []byte {
+	dst = append(dst, c.vb(v)...)
+	dst = append(dst, 0)
+	for _, u := range c.ord {
+		dst = append(dst, c.pb(v, u)...)
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // compare advances the equality frontier between buf and best from
@@ -312,44 +515,7 @@ func (c *canonizer) compare(off int) (less, prune bool, newOff int) {
 	return false, false, i
 }
 
-// lexLess is bytes.Compare(a, b) < 0 without importing bytes into the
-// hot path signature (kept local for clarity).
-func lexLess(a, b []byte) bool {
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	for i := 0; i < m; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func countDistinct(vs []uint64) int {
-	seen := make(map[uint64]struct{}, len(vs))
-	for _, v := range vs {
-		seen[v] = struct{}{}
-	}
-	return len(seen)
-}
-
-func sortU64(vs []uint64) {
-	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
-}
+func lexLess(a, b []byte) bool { return bytes.Compare(a, b) < 0 }
 
 // FNV-1a, hand-rolled so colors are stable across processes (the
 // fingerprints derived downstream must not vary run to run the way
@@ -366,10 +532,15 @@ func fnvBytes(h uint64, b []byte) uint64 {
 	return h
 }
 
+// fnvU64 folds v into h little-endian byte by byte (unrolled).
 func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
+	h = (h ^ (v & 0xff)) * fnvPrime
+	h = (h ^ (v >> 8 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 16 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 24 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 32 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 40 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 48 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 56)) * fnvPrime
 	return h
 }

@@ -20,15 +20,15 @@ type testStruct struct {
 func (s *testStruct) data() CanonData {
 	return CanonData{
 		N: s.n,
-		VertexBytes: func(v int) []byte {
-			return []byte(fmt.Sprintf("v%d", s.vert[v]))
+		VertexBytes: func(dst []byte, v int) []byte {
+			return fmt.Appendf(dst, "v%d", s.vert[v])
 		},
-		PairBytes: func(u, v int) []byte {
+		PairBytes: func(dst []byte, u, v int) []byte {
 			e := 0
 			if s.adj[u][v] {
 				e = 1
 			}
-			return []byte(fmt.Sprintf("e%d;%d;%d", e, s.pair[u][v], s.pair[v][u]))
+			return fmt.Appendf(dst, "e%d;%d;%d", e, s.pair[u][v], s.pair[v][u])
 		},
 	}
 }
@@ -182,10 +182,10 @@ func TestCanonicalOrderIsValidPermutation(t *testing.T) {
 	d := s.data()
 	var want []byte
 	for k, v := range ord {
-		want = append(want, d.VertexBytes(v)...)
+		want = d.VertexBytes(want, v)
 		want = append(want, 0)
 		for _, u := range ord[:k] {
-			want = append(want, d.PairBytes(v, u)...)
+			want = d.PairBytes(want, v, u)
 			want = append(want, 0)
 		}
 	}
@@ -201,8 +201,8 @@ func TestCanonicalOrderEmptyAndSingle(t *testing.T) {
 	}
 	d := CanonData{
 		N:           1,
-		VertexBytes: func(int) []byte { return []byte("x") },
-		PairBytes:   func(int, int) []byte { panic("no pairs") },
+		VertexBytes: func(dst []byte, _ int) []byte { return append(dst, 'x') },
+		PairBytes:   func([]byte, int, int) []byte { panic("no pairs") },
 	}
 	ord, enc = CanonicalOrder(d)
 	if len(ord) != 1 || ord[0] != 0 {
@@ -210,5 +210,66 @@ func TestCanonicalOrderEmptyAndSingle(t *testing.T) {
 	}
 	if !bytes.Equal(enc, []byte{'x', 0}) {
 		t.Fatalf("single vertex enc=%q", enc)
+	}
+}
+
+// circulant returns the circulant graph on n vertices joining i and
+// i±s (mod n) for every s in jumps — vertex-transitive, so every search
+// node has a wide cell and automorphisms to find.
+func circulant(n int, jumps []int) *Graph {
+	g := New(n)
+	for i := 0; i < n; i++ {
+		for _, s := range jumps {
+			if j := (i + s) % n; j != i && !g.HasEdge(i, j) {
+				g.AddEdge(i, j)
+			}
+		}
+	}
+	return g
+}
+
+// TestOrbitPruningIsExact checks that orbit pruning changes only the
+// work, never the output: CanonicalOrder matches the search with orbit
+// pruning off, ordering and encoding, on symmetric graphs (circulants,
+// unions of copies of a random graph) and low-entropy weighted
+// structures, each under random relabelings.
+func TestOrbitPruningIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	check := func(name string, d CanonData) {
+		t.Helper()
+		ord, enc := CanonicalOrder(d)
+		ord0, enc0 := canonicalOrder(d, 0)
+		if !bytes.Equal(enc, enc0) || fmt.Sprint(ord) != fmt.Sprint(ord0) {
+			t.Fatalf("%s: orbit pruning changed the result: ord %v vs %v", name, ord, ord0)
+		}
+	}
+	adjOf := func(g *Graph, pi []int) [][]bool {
+		n := g.N()
+		adj := make([][]bool, n)
+		for i := range adj {
+			adj[i] = make([]bool, n)
+		}
+		for _, e := range g.Edges() {
+			adj[pi[e[0]]][pi[e[1]]], adj[pi[e[1]]][pi[e[0]]] = true, true
+		}
+		return adj
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 6 + rng.Intn(9)
+		jumps := []int{1 + rng.Intn(n/2)}
+		if rng.Intn(2) == 0 {
+			jumps = append(jumps, 1+rng.Intn(n/2))
+		}
+		g := circulant(n, jumps)
+		if rng.Intn(3) == 0 {
+			h := Random(3+rng.Intn(3), 0.5, int64(trial))
+			g = h.DisjointUnion(h)
+			if rng.Intn(2) == 0 {
+				g = g.DisjointUnion(h)
+			}
+		}
+		check(fmt.Sprintf("graph trial %d", trial), relabelCheckData(g.N(), adjOf(g, rng.Perm(g.N()))))
+		s := randomStruct(5+rng.Intn(6), rng, 2)
+		check(fmt.Sprintf("struct trial %d", trial), s.permuted(randomPerm(s.n, rng)).data())
 	}
 }

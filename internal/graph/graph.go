@@ -24,9 +24,15 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: New with negative vertex count")
 	}
+	// One slab for the rows and one for their words: a graph costs four
+	// allocations whatever its size.
 	g := &Graph{n: n, adj: make([]*Bitset, n)}
+	rows := make([]Bitset, n)
+	w := (n + 63) / 64
+	words := make([]uint64, n*w)
 	for i := range g.adj {
-		g.adj[i] = NewBitset(n)
+		rows[i] = Bitset{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		g.adj[i] = &rows[i]
 	}
 	return g
 }

@@ -29,22 +29,35 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &gj); err != nil {
 		return err
 	}
-	if gj.N < 0 {
-		return fmt.Errorf("graph: negative vertex count %d", gj.N)
-	}
-	if gj.N > MaxJSONVertices {
-		return fmt.Errorf("graph: vertex count %d exceeds decode limit %d", gj.N, MaxJSONVertices)
-	}
-	ng := New(gj.N)
-	for _, e := range gj.Edges {
-		u, v := e[0], e[1]
-		if u < 0 || u >= gj.N || v < 0 || v >= gj.N || u == v {
-			return fmt.Errorf("graph: invalid edge {%d, %d} for n=%d", u, v, gj.N)
-		}
-		ng.AddEdge(u, v)
+	ng, err := FromEdgeList(gj.N, gj.Edges)
+	if err != nil {
+		return err
 	}
 	*g = *ng
 	return nil
+}
+
+// FromEdgeList builds the graph on n vertices with the given edges,
+// checking what a decoder must before trusting either: 0 ≤ n ≤
+// MaxJSONVertices, endpoints in range, no self-loops. Duplicate edges
+// are harmless. It is the one constructor behind every JSON decode of
+// a graph.
+func FromEdgeList(n int, edges [][2]int) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > MaxJSONVertices {
+		return nil, fmt.Errorf("graph: vertex count %d exceeds decode limit %d", n, MaxJSONVertices)
+	}
+	g := New(n)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			return nil, fmt.Errorf("graph: invalid edge {%d, %d} for n=%d", u, v, n)
+		}
+		g.AddEdge(u, v)
+	}
+	return g, nil
 }
 
 // DOT renders g in Graphviz DOT format.

@@ -43,18 +43,16 @@ func Relabel(in *Instance, pi []int) *Instance {
 func canonData(in *Instance) graph.CanonData {
 	return graph.CanonData{
 		N: in.N(),
-		VertexBytes: func(v int) []byte {
-			return in.T[v].CanonicalAppend(nil)
+		VertexBytes: func(dst []byte, v int) []byte {
+			return in.T[v].CanonicalAppend(dst)
 		},
-		PairBytes: func(u, v int) []byte {
-			b := make([]byte, 0, 16)
+		PairBytes: func(dst []byte, u, v int) []byte {
+			e := byte('0')
 			if in.Q.HasEdge(u, v) {
-				b = append(b, 'e', '1', ';')
-			} else {
-				b = append(b, 'e', '0', ';')
+				e = '1'
 			}
-			b = in.S[u][v].CanonicalAppend(b)
-			return b
+			dst = append(dst, 'e', e, ';')
+			return in.S[u][v].CanonicalAppend(dst)
 		},
 	}
 }

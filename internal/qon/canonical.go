@@ -54,26 +54,37 @@ func Relabel(in *Instance, pi []int) *Instance {
 // canonData adapts the instance for graph.CanonicalOrder. Per the
 // CanonData contract the byte encodings are label-invariant and
 // NUL-free: num.CanonicalAppend emits big.Float 'p' text, and ';' / 'e'
-// markers separate components.
+// markers separate components. An access cost appears in the views of
+// both orientations of its pair, so each is formatted once up front.
 func canonData(in *Instance) graph.CanonData {
-	return graph.CanonData{
-		N: in.N(),
-		VertexBytes: func(v int) []byte {
-			return in.T[v].CanonicalAppend(nil)
-		},
-		PairBytes: func(u, v int) []byte {
-			b := make([]byte, 0, 32)
-			if in.Q.HasEdge(u, v) {
-				b = append(b, 'e', '1', ';')
-			} else {
-				b = append(b, 'e', '0', ';')
+	n := in.N()
+	wOff := make([]int, n*n+1)
+	wb := make([]byte, 0, 16*n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				wb = in.W[i][j].CanonicalAppend(wb)
 			}
-			b = in.S[u][v].CanonicalAppend(b)
-			b = append(b, ';')
-			b = in.W[u][v].CanonicalAppend(b)
-			b = append(b, ';')
-			b = in.W[v][u].CanonicalAppend(b)
-			return b
+			wOff[i*n+j+1] = len(wb)
+		}
+	}
+	w := func(i, j int) []byte { return wb[wOff[i*n+j]:wOff[i*n+j+1]] }
+	return graph.CanonData{
+		N: n,
+		VertexBytes: func(dst []byte, v int) []byte {
+			return in.T[v].CanonicalAppend(dst)
+		},
+		PairBytes: func(dst []byte, u, v int) []byte {
+			e := byte('0')
+			if in.Q.HasEdge(u, v) {
+				e = '1'
+			}
+			dst = append(dst, 'e', e, ';')
+			dst = in.S[u][v].CanonicalAppend(dst)
+			dst = append(dst, ';')
+			dst = append(dst, w(u, v)...)
+			dst = append(dst, ';')
+			return append(dst, w(v, u)...)
 		},
 	}
 }

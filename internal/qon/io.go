@@ -20,15 +20,21 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(instanceJSON{Q: in.Q, S: in.S, T: in.T, W: in.W})
 }
 
-// UnmarshalJSON decodes and validates an instance.
+// UnmarshalJSON decodes and validates an instance. The spelling
+// MarshalJSON emits is scanned in one pass (decodeStrict); any other
+// spelling takes the encoding/json path, which defines the result for
+// every input the scan declines.
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	var ij instanceJSON
-	if err := json.Unmarshal(data, &ij); err != nil {
-		return err
-	}
-	decoded := &Instance{Q: ij.Q, S: ij.S, T: ij.T, W: ij.W}
-	if decoded.Q == nil {
-		return fmt.Errorf("qon: missing query graph")
+	decoded, ok := decodeStrict(data)
+	if !ok {
+		var ij instanceJSON
+		if err := json.Unmarshal(data, &ij); err != nil {
+			return err
+		}
+		decoded = &Instance{Q: ij.Q, S: ij.S, T: ij.T, W: ij.W}
+		if decoded.Q == nil {
+			return fmt.Errorf("qon: missing query graph")
+		}
 	}
 	if err := decoded.Validate(); err != nil {
 		return err

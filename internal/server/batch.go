@@ -108,6 +108,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		req.replicaTo = replicaTo
+		req.canonUS = m.Histogram(MetricCanonUS)
 		reqs[i] = req
 		key := ""
 		if s.cacheActive() {

@@ -409,3 +409,31 @@ func TestResultCacheBodyIndex(t *testing.T) {
 		t.Fatalf("cache holds %d entries and %d digests, want 1 and 1", c.len(), c.bodyLen())
 	}
 }
+
+// The decode and canonical-labeling stage histograms record one sample
+// per request that pays the stage: a relabeled duplicate decodes and
+// labels once each, and a byte-identical replay served by the index
+// records neither.
+func TestStageHistograms(t *testing.T) {
+	reg := trace.NewRegistry()
+	s, err := New(Config{MaxConcurrent: 2, Metrics: reg, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	body := optimizeBody(t, 8, 21)
+	decode, canon := reg.Histogram(MetricDecodeUS), reg.Histogram(MetricCanonUS)
+	step := func(name string, body []byte, wantCached bool, wantDecode, wantCanon int64) {
+		t.Helper()
+		d0, c0 := decode.Count(), canon.Count()
+		if res, _ := mustServe(t, h, body); res.Cached != wantCached {
+			t.Fatalf("%s: cached=%v, want %v", name, res.Cached, wantCached)
+		}
+		if d, c := decode.Count()-d0, canon.Count()-c0; d != wantDecode || c != wantCanon {
+			t.Fatalf("%s: recorded %d decode and %d canon samples, want %d and %d", name, d, c, wantDecode, wantCanon)
+		}
+	}
+	step("miss", body, false, 1, 1)
+	step("relabeled hit", relabeledBodies(t, 8, 21, 1)[0], true, 1, 1)
+	step("replay", body, true, 0, 0)
+}

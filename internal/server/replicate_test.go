@@ -268,16 +268,18 @@ func TestReplicateFanOutOnStore(t *testing.T) {
 		t.Fatalf("result not certified: %s", data)
 	}
 
+	// The sender counts an offer as sent only after the peer's response
+	// arrives, which can be after the peer has recorded it: wait for both.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		mu.Lock()
 		n := len(got)
 		mu.Unlock()
-		if n > 0 {
+		if n > 0 && reg.Counter(MetricReplicateSent).Value() >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("peer never received the replicated entry (sent=%d errors=%d dropped=%d)",
+			t.Fatalf("peer never received the replicated entry or the send was not counted (received=%d sent=%d errors=%d dropped=%d)", n,
 				reg.Counter(MetricReplicateSent).Value(),
 				reg.Counter(MetricReplicateErrors).Value(),
 				reg.Counter(MetricReplicateDropped).Value())

@@ -7,6 +7,7 @@ import (
 
 	"approxqo/internal/qoh"
 	"approxqo/internal/qon"
+	"approxqo/internal/trace"
 	"approxqo/internal/workload"
 )
 
@@ -100,10 +101,13 @@ type Request struct {
 	// rawKey digests exactly what a byte-identical replay would send
 	// and the entry it stores can be indexed by it.
 	wholeBody bool
-	fpDone    bool
-	fp        string
-	perm      []int
-	fpErr     error
+	// canonUS, when set, receives the time canonicalID spends labeling
+	// (MetricCanonUS).
+	canonUS *trace.Histogram
+	fpDone  bool
+	fp      string
+	perm    []int
+	fpErr   error
 }
 
 // DecodeRequest parses and validates one request body. Errors are
@@ -153,7 +157,10 @@ func requestForJob(j *Job) *Request {
 
 // Validate checks the cross-field constraints the per-instance decoders
 // cannot see: exactly one instance source, model agreement, size caps,
-// and a sane budget.
+// and a sane budget. Inline instances come from the validating
+// decoders ((*qon.Instance).UnmarshalJSON, (*qoh.Instance).UnmarshalJSON),
+// which reject an invalid instance before it reaches a Request, so
+// they are not validated again here.
 func (r *Request) Validate() error {
 	sources := 0
 	for _, set := range []bool{r.Instance != nil, r.QOHInstance != nil, r.Workload != nil} {
@@ -180,9 +187,6 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("timeout_ms must be non-negative, got %d", r.TimeoutMS)
 	}
 	if in := r.Instance; in != nil {
-		if err := in.Validate(); err != nil {
-			return err
-		}
 		// The n ≥ 1 floor matters: an empty query_graph decodes to a
 		// valid zero-relation instance (and JSON key matching is
 		// case-insensitive, so "instAnCe" reaches this field too).
@@ -194,9 +198,6 @@ func (r *Request) Validate() error {
 		}
 	}
 	if in := r.QOHInstance; in != nil {
-		if err := in.Validate(); err != nil {
-			return err
-		}
 		if in.N() < 1 {
 			return fmt.Errorf("qoh instance has no relations")
 		}
@@ -294,23 +295,27 @@ func (r *Request) qonInstance() (*qon.Instance, error) {
 // graph-invariant instance fingerprint and the permutation pi mapping
 // the request's relation labels into canonical space (pi[v] = canonical
 // label of request label v). Both are computed at most once per
-// request. Not safe for concurrent use on one Request — resolve before
-// sharing across goroutines.
+// request; the labeling itself (not the generation of a workload
+// instance) is timed into canonUS. Not safe for concurrent use on one
+// Request — resolve before sharing across goroutines.
 func (r *Request) canonicalID() (string, []int, error) {
 	if r.fpDone {
 		return r.fp, r.perm, r.fpErr
 	}
 	r.fpDone = true
-	if r.model() == "qoh" {
+	var in *qon.Instance
+	if r.model() != "qoh" {
+		if in, r.fpErr = r.qonInstance(); r.fpErr != nil {
+			return "", nil, r.fpErr
+		}
+	}
+	t0 := time.Now()
+	if in != nil {
+		r.fp, r.perm = qon.CanonicalID(in)
+	} else {
 		r.fp, r.perm = qoh.CanonicalID(r.QOHInstance)
-		return r.fp, r.perm, nil
 	}
-	in, err := r.qonInstance()
-	if err != nil {
-		r.fpErr = err
-		return "", nil, err
-	}
-	r.fp, r.perm = qon.CanonicalID(in)
+	r.canonUS.Observe(time.Since(t0).Microseconds())
 	return r.fp, r.perm, nil
 }
 

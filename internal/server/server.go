@@ -74,6 +74,8 @@ const (
 	MetricRung          = "server.rung"            // histogram: ladder rung per accepted request
 	MetricQueueWaitUS   = "server.queue.wait_us"   // histogram: time queued before a slot (µs)
 	MetricRequestWallUS = "server.request.wall_us" // histogram: accepted-request wall time (µs)
+	MetricDecodeUS      = "server.decode_us"       // histogram: DecodeRequest time of a /optimize body (µs)
+	MetricCanonUS       = "server.canon_us"        // histogram: canonical labeling time, once per request that computes it (µs)
 )
 
 // Batch metric names. POST /optimize/batch deliberately keeps its own
@@ -499,7 +501,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		out, model = s.serveBodyHit(rawKey, accepted)
 	}
 	if !out.ok {
+		t0 := time.Now()
 		req, err := DecodeRequest(body)
+		m.Histogram(MetricDecodeUS).Observe(time.Since(t0).Microseconds())
 		if err != nil {
 			m.Counter(MetricBadRequest).Inc()
 			span.SetField("kind", "bad_request")
@@ -507,6 +511,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.rawKey, req.wholeBody = rawKey, true
+		req.canonUS = m.Histogram(MetricCanonUS)
 		model = req.model()
 		if s.peerAuthed(r) {
 			// The fan-out hint is only honored from authenticated cluster
