@@ -5,9 +5,8 @@
 //
 // Endpoints:
 //
-//	POST /optimize       — JSON request (a tagged job object, or the
-//	                       deprecated top-level form) → certified result
-//	                       or structured error document
+//	POST /optimize       — {"job":{...}} → certified result or
+//	                       structured error document
 //	POST /optimize/batch — {"jobs":[...]} → per-job results in order;
 //	                       jobs are deduplicated by canonical instance
 //	                       fingerprint, so k relabeled copies of one

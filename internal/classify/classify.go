@@ -29,6 +29,7 @@ import (
 
 	"approxqo/internal/engine"
 	"approxqo/internal/opt"
+	"approxqo/internal/qoh"
 	"approxqo/internal/qon"
 )
 
@@ -371,8 +372,8 @@ func Unrouted() Decision {
 		Reason: "routing off: every tier"}
 }
 
-// Ensemble is the one QO_N serving-ensemble builder: it materializes
-// the decision into optimizers for an n-relation instance, plus one
+// Ensemble is the QO_N serving-ensemble builder: it materializes the
+// decision into optimizers for an n-relation instance, plus one
 // SkipRecord per member left out. Tiers, in ensemble order:
 //
 //   - greedy: greedy-min-size, greedy-min-cost, kbz — polynomial
@@ -389,26 +390,7 @@ func Unrouted() Decision {
 // decision past the cap, or every routed circuit open — falls back to
 // the greedy tier. Deterministic in (d, n, seed, allow).
 func Ensemble(d Decision, n int, seed int64, allow func(name string) bool) ([]opt.Optimizer, []engine.SkipRecord) {
-	var optimizers []opt.Optimizer
-	var skipped []engine.SkipRecord
-	skip := func(reason, detail string, os ...opt.Optimizer) {
-		for _, o := range os {
-			skipped = append(skipped, engine.SkipRecord{Name: o.Name(), Reason: reason, Detail: detail})
-		}
-	}
-	take := func(t Tier, os ...opt.Optimizer) {
-		if !d.has(t) {
-			skip(d.shedBy(t), fmt.Sprintf("%s tier not routed for class %s", t, d.Class), os...)
-			return
-		}
-		for _, o := range os {
-			if allow == nil || allow(o.Name()) {
-				optimizers = append(optimizers, o)
-			} else {
-				skip(engine.SkipBreaker, "circuit open after repeated quarantine", o)
-			}
-		}
-	}
+	b := builder[opt.Optimizer]{d: d, allow: allow, name: opt.Optimizer.Name}
 	greedy := func() []opt.Optimizer {
 		return []opt.Optimizer{
 			opt.NewGreedy(opt.GreedyMinSize, opt.WithSeed(seed)),
@@ -419,28 +401,90 @@ func Ensemble(d Decision, n int, seed int64, allow func(name string) bool) ([]op
 	exact, exactCap := exactMember(n)
 	inReach := d.has(TierExact) && n <= serialDPMaxN && (allow == nil || allow(exact.Name()))
 
-	take(TierGreedy, greedy()...)
+	b.take(TierGreedy, greedy()...)
 	local := []opt.Optimizer{
 		opt.NewAnnealing(opt.WithSeed(seed)),
 		opt.NewRandomSampler(opt.WithSeed(seed + 1)),
 		opt.NewIterativeImprovement(opt.WithSeed(seed), opt.WithRestarts(5)),
 	}
 	if inReach && d.has(TierLocal) {
-		skip(engine.SkipExactInReach, fmt.Sprintf("%s certifies the optimum at n=%d", exact.Name(), n), local...)
+		b.skip(engine.SkipExactInReach, fmt.Sprintf("%s certifies the optimum at n=%d", exact.Name(), n), local...)
 	} else {
-		take(TierLocal, local...)
+		b.take(TierLocal, local...)
 	}
-	if d.has(TierExact) && n > exactCap {
-		skip(engine.SkipOutOfRange, fmt.Sprintf("n=%d above cap %d", n, exactCap), exact)
-	} else {
-		take(TierExact, exact)
-	}
+	b.takeCapped(exact, n, exactCap)
+	return b.done(greedy)
+}
 
-	if len(optimizers) == 0 {
-		optimizers = greedy()
-		skipped = slices.DeleteFunc(skipped, func(sk engine.SkipRecord) bool {
-			return slices.ContainsFunc(optimizers, func(o opt.Optimizer) bool { return o.Name() == sk.Name })
-		})
+// QOHEnsemble is the QO_H serving-ensemble builder, under the same
+// decision, breaker check, skip reasons and greedy fallback as
+// Ensemble. Its tiers are one member each: qoh-greedy (greedy),
+// qoh-annealing (local) and qoh-exhaustive (exact), the last reported
+// "out_of_range" above qoh.MaxExhaustiveN. The local tier is never
+// skipped as "exact_in_reach". Deterministic in (d, n, seed, allow).
+func QOHEnsemble(d Decision, n int, seed int64, allow func(name string) bool) ([]engine.QOHSearcher, []engine.SkipRecord) {
+	b := builder[engine.QOHSearcher]{d: d, allow: allow,
+		name: func(sr engine.QOHSearcher) string { return sr.Name }}
+	// QOHSearchers lists greedy, annealing, exhaustive.
+	searchers := engine.QOHSearchers(opt.WithSeed(seed))
+	b.take(TierGreedy, searchers[0])
+	b.take(TierLocal, searchers[1])
+	b.takeCapped(searchers[2], n, qoh.MaxExhaustiveN)
+	return b.done(func() []engine.QOHSearcher { return searchers[:1] })
+}
+
+// builder collects one ensemble's members, and a SkipRecord for each
+// member the decision, the size cap or the breaker leaves out.
+type builder[T any] struct {
+	d       Decision
+	allow   func(name string) bool
+	name    func(T) string
+	members []T
+	skipped []engine.SkipRecord
+}
+
+func (b *builder[T]) skip(reason, detail string, ms ...T) {
+	for _, m := range ms {
+		b.skipped = append(b.skipped, engine.SkipRecord{Name: b.name(m), Reason: reason, Detail: detail})
 	}
-	return optimizers, skipped
+}
+
+// take adds tier t's members, or reports them when t is not routed or
+// their circuit is open.
+func (b *builder[T]) take(t Tier, ms ...T) {
+	if !b.d.has(t) {
+		b.skip(b.d.shedBy(t), fmt.Sprintf("%s tier not routed for class %s", t, b.d.Class), ms...)
+		return
+	}
+	for _, m := range ms {
+		if b.allow == nil || b.allow(b.name(m)) {
+			b.members = append(b.members, m)
+		} else {
+			b.skip(engine.SkipBreaker, "circuit open after repeated quarantine", m)
+		}
+	}
+}
+
+// takeCapped takes the exact tier's member, reported "out_of_range"
+// when the exact tier is routed but n exceeds the member's cap.
+func (b *builder[T]) takeCapped(exact T, n, limit int) {
+	if b.d.has(TierExact) && n > limit {
+		b.skip(engine.SkipOutOfRange, fmt.Sprintf("n=%d above cap %d", n, limit), exact)
+		return
+	}
+	b.take(TierExact, exact)
+}
+
+// done returns the ensemble, or — never serving an empty one — the
+// greedy tier, whose members then leave the skip list (a fully open
+// breaker half-opens here, probing them again).
+func (b *builder[T]) done(greedy func() []T) ([]T, []engine.SkipRecord) {
+	if len(b.members) > 0 {
+		return b.members, b.skipped
+	}
+	fallback := greedy()
+	skipped := slices.DeleteFunc(b.skipped, func(sk engine.SkipRecord) bool {
+		return slices.ContainsFunc(fallback, func(m T) bool { return b.name(m) == sk.Name })
+	})
+	return fallback, skipped
 }

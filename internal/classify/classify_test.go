@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"approxqo/internal/engine"
+	"approxqo/internal/qoh"
 	"approxqo/internal/qon"
 	"approxqo/internal/workload"
 )
@@ -219,6 +220,74 @@ func TestEnsembleLocalTierSkippedWhenExactInReach(t *testing.T) {
 		var got []string
 		for _, o := range optimizers {
 			got = append(got, o.Name())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: members %v, want %v", tc.name, got, tc.want)
+		}
+		gotSkips := map[string]string{}
+		for _, sk := range skips {
+			gotSkips[sk.Name] = sk.Reason
+		}
+		if !reflect.DeepEqual(gotSkips, tc.wantSkips) {
+			t.Errorf("%s: skips %v, want %v", tc.name, gotSkips, tc.wantSkips)
+		}
+	}
+}
+
+// TestQOHEnsembleMembers pins the QO_H builder's member table over
+// rung × n × breaker state: the exact tier (qoh-exhaustive) only at the
+// full rung within qoh.MaxExhaustiveN, and an ensemble emptied by open
+// circuits falling back to the greedy tier — never to the exact member
+// the rung or the cap just left out.
+func TestQOHEnsembleMembers(t *testing.T) {
+	const (
+		greedy = "qoh-greedy"
+		local  = "qoh-annealing"
+		exact  = "qoh-exhaustive"
+	)
+	small, large := qoh.MaxExhaustiveN, qoh.MaxExhaustiveN+1
+	full, degraded := Unrouted(), Unrouted().Degrade()
+	openFor := func(names ...string) func(string) bool {
+		return func(name string) bool { return !contains(names, name) }
+	}
+	allOpen := func(string) bool { return false }
+	cases := []struct {
+		name      string
+		d         Decision
+		n         int
+		allow     func(string) bool
+		want      []string
+		wantSkips map[string]string
+	}{
+		{"full small closed", full, small, nil, []string{greedy, local, exact}, map[string]string{}},
+		{"full small exact open", full, small, openFor(exact), []string{greedy, local},
+			map[string]string{exact: engine.SkipBreaker}},
+		{"full small greedy open", full, small, openFor(greedy), []string{local, exact},
+			map[string]string{greedy: engine.SkipBreaker}},
+		{"full small all open", full, small, allOpen, []string{greedy},
+			map[string]string{local: engine.SkipBreaker, exact: engine.SkipBreaker}},
+		{"full large closed", full, large, nil, []string{greedy, local},
+			map[string]string{exact: engine.SkipOutOfRange}},
+		{"full large local open", full, large, openFor(local), []string{greedy},
+			map[string]string{local: engine.SkipBreaker, exact: engine.SkipOutOfRange}},
+		{"full large all open", full, large, allOpen, []string{greedy},
+			map[string]string{local: engine.SkipBreaker, exact: engine.SkipOutOfRange}},
+		{"degraded small closed", degraded, small, nil, []string{greedy, local},
+			map[string]string{exact: engine.SkipDegraded}},
+		{"degraded small local open", degraded, small, openFor(local), []string{greedy},
+			map[string]string{local: engine.SkipBreaker, exact: engine.SkipDegraded}},
+		{"degraded small all open", degraded, small, allOpen, []string{greedy},
+			map[string]string{local: engine.SkipBreaker, exact: engine.SkipDegraded}},
+		{"degraded large closed", degraded, large, nil, []string{greedy, local},
+			map[string]string{exact: engine.SkipDegraded}},
+		{"degraded large all open", degraded, large, allOpen, []string{greedy},
+			map[string]string{local: engine.SkipBreaker, exact: engine.SkipDegraded}},
+	}
+	for _, tc := range cases {
+		searchers, skips := QOHEnsemble(tc.d, tc.n, 3, tc.allow)
+		var got []string
+		for _, sr := range searchers {
+			got = append(got, sr.Name)
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: members %v, want %v", tc.name, got, tc.want)

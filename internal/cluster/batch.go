@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"approxqo/internal/cluster/replica"
 	"approxqo/internal/server"
@@ -85,13 +83,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	groupOf := make(map[string]int)
 	var groups []*clusterGroup
 	for i, job := range br.Jobs {
-		req := &server.Request{
-			Model:       job.Model,
-			Instance:    job.Instance,
-			QOHInstance: job.QOHInstance,
-			Workload:    job.Workload,
-			TimeoutMS:   job.TimeoutMS,
-		}
+		req := &server.Request{Job: job}
 		if err := req.Validate(); err != nil {
 			errDocs[i] = &server.ErrorBody{Kind: "bad_request", Message: err.Error(), RequestID: rid}
 			continue
@@ -151,27 +143,14 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, rid string, g *clusterG
 	gctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	prefs := c.routeOrder(g.key)
-	if len(prefs) == 0 {
+	jobs := make([]*server.Job, len(g.idxs))
+	for k, i := range g.idxs {
+		jobs[k] = reqs[i].Job
+	}
+	res, _ := c.dispatch(gctx, rid, g.key, jobs, true)
+	if errors.Is(res.err, errNoWorkers) {
 		c.failGroup(g, errDocs, rid, "no_workers", "cluster has no workers in the ring")
 		return
-	}
-	m.Counter(MetricAttempts).Inc()
-	res := c.tryWorkerBatch(gctx, prefs[0], rid, g, reqs)
-	for retry := 0; !res.terminal() && retry < c.cfg.MaxRetries; retry++ {
-		if gctx.Err() != nil {
-			break
-		}
-		if !c.budget.withdraw() {
-			m.Counter(MetricRetryDenied).Inc()
-			break
-		}
-		if err := sleepCtx(gctx, c.backoff(retry)); err != nil {
-			break
-		}
-		m.Counter(MetricRetries).Inc()
-		m.Counter(MetricAttempts).Inc()
-		res = c.tryWorkerBatch(gctx, prefs[(retry+1)%len(prefs)], rid, g, reqs)
 	}
 	if !res.terminal() {
 		kind, msg := "upstream", fmt.Sprintf("upstream attempts exhausted: %v", res.err)
@@ -215,94 +194,6 @@ func (c *Coordinator) failGroup(g *clusterGroup, errDocs []*server.ErrorBody, ri
 			RequestID:    rid,
 		}
 	}
-}
-
-// tryWorkerBatch issues one sub-batch attempt against one worker. The
-// response is validated like a single result: a 200 must decode to a
-// batch document with one entry per job, each entry either a
-// certified, permutation-valid result or a structured error.
-func (c *Coordinator) tryWorkerBatch(ctx context.Context, worker, rid string, g *clusterGroup, reqs []*server.Request) *upstream {
-	u := &upstream{worker: worker}
-	deadline, ok := ctx.Deadline()
-	remaining := time.Duration(0)
-	if ok {
-		remaining = time.Until(deadline) - c.cfg.HopMargin
-	}
-	if ok && remaining <= 0 {
-		u.err = fmt.Errorf("cluster: hop budget exhausted before attempt: %w", context.DeadlineExceeded)
-		return u
-	}
-	sub := &server.BatchRequest{Jobs: make([]*server.Job, len(g.idxs))}
-	for k, i := range g.idxs {
-		req := reqs[i]
-		sub.Jobs[k] = &server.Job{
-			Model:       req.Model,
-			Instance:    req.Instance,
-			QOHInstance: req.QOHInstance,
-			Workload:    req.Workload,
-			TimeoutMS:   remaining.Milliseconds(),
-		}
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		u.err = fmt.Errorf("cluster: encoding sub-batch: %w", err)
-		return u
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/optimize/batch", bytes.NewReader(body))
-	if err != nil {
-		u.err = err
-		return u
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(server.RequestIDHeader, rid)
-	if peers := c.replicaPeers(g.key, worker); len(peers) > 0 {
-		// One shape per sub-batch means one replica set for the whole
-		// group; the worker fans out each stored leader result. The
-		// secret authenticates the hint (unauthenticated ones are
-		// ignored).
-		hreq.Header.Set(server.ReplicateToHeader, replicateToHeader(peers))
-		hreq.Header.Set(replica.AuthHeader, c.cfg.ClusterSecret)
-	}
-	start := time.Now()
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		u.err = err
-		c.health.observe(worker, false)
-		c.cfg.Metrics.Counter(MetricUpstreamErrors).Inc()
-		return u
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		u.err = fmt.Errorf("cluster: reading response from %s: %w", worker, err)
-		c.health.observe(worker, false)
-		c.cfg.Metrics.Counter(MetricUpstreamErrors).Inc()
-		return u
-	}
-	u.status, u.body = resp.StatusCode, data
-	if u.status == http.StatusOK {
-		if _, err := decodeWorkerBatch(data, len(g.idxs)); err != nil {
-			u.err = fmt.Errorf("cluster: invalid batch 200 from %s: %w", worker, err)
-			c.health.observe(worker, false)
-			c.cfg.Metrics.Counter(MetricUpstreamErrors).Inc()
-			return u
-		}
-		c.lat.observe(time.Since(start))
-		c.health.observe(worker, true)
-		c.cfg.Metrics.Histogram(MetricUpstreamWallUS).Observe(time.Since(start).Microseconds())
-		return u
-	}
-	if _, err := decodeWorkerError(data); err != nil {
-		u.err = fmt.Errorf("cluster: unstructured %d from %s: %w", u.status, worker, err)
-		c.health.observe(worker, false)
-		c.cfg.Metrics.Counter(MetricUpstreamErrors).Inc()
-		return u
-	}
-	c.health.observe(worker, u.status < 500)
-	if u.status >= 500 {
-		c.cfg.Metrics.Counter(MetricUpstreamErrors).Inc()
-	}
-	return u
 }
 
 // decodeWorkerBatch validates one worker batch 200 body: a batch

@@ -88,7 +88,7 @@ func TestHedgeLoserRefundsBudgetToken(t *testing.T) {
 	b := httptest.NewServer(handler)
 	defer b.Close()
 
-	req := &server.Request{Workload: &server.WorkloadSpec{Shape: "chain", N: 5, Seed: 3}, TimeoutMS: 20_000}
+	req := &server.Request{Job: &server.Job{Workload: &server.WorkloadSpec{Shape: "chain", N: 5, Seed: 3}, TimeoutMS: 20_000}}
 	key := routeKey(req, nil)
 	probe := NewRing(0)
 	probe.Add(a.URL)

@@ -99,10 +99,10 @@ func checkCertified(res *server.Result) error {
 }
 
 func workloadReq(seed int64, n int) *server.Request {
-	return &server.Request{
+	return &server.Request{Job: &server.Job{
 		Workload:  &server.WorkloadSpec{Shape: "chain", N: n, Seed: seed, EdgeProb: 0.5},
 		TimeoutMS: 20_000,
-	}
+	}}
 }
 
 func TestCoordinatorRelaysCertifiedResult(t *testing.T) {
@@ -144,6 +144,67 @@ func TestCoordinatorRelaysCertifiedResult(t *testing.T) {
 	}
 }
 
+// The coordinator forwards each job's route override to the worker on
+// both endpoints: behind a worker whose routing default is off, a
+// route:true job comes back with the router's decision and a
+// route:false job without one.
+func TestCoordinatorForwardsRouteOverride(t *testing.T) {
+	fleet := newFleet(t, 1) // server.Config.Route defaults to false
+	co, err := cluster.New(cluster.Config{
+		Workers:       fleetURLs(fleet),
+		ProbeInterval: -1,
+		HedgeAfter:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(co.Handler())
+	defer cts.Close()
+	c := loadgen.New(cts.URL, 1)
+	job := func(seed int64, route bool) *server.Job {
+		j := workloadReq(seed, 6).Job
+		j.Route = &route
+		return j
+	}
+	check := func(what string, res *server.Result, route bool) {
+		t.Helper()
+		if err := checkCertified(res); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := res.Routing != nil; got != route {
+			t.Errorf("%s: routing set = %v, want %v", what, got, route)
+		}
+	}
+
+	for i, route := range []bool{true, false} {
+		out, err := c.Optimize(context.Background(), &server.Request{Job: job(int64(40+i), route)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.OK() {
+			t.Fatalf("/optimize route=%v: status %d (%+v)", route, out.Status, out.ErrDoc)
+		}
+		check(fmt.Sprintf("/optimize route=%v", route), out.Result, route)
+	}
+
+	out, err := c.OptimizeBatch(context.Background(), &server.BatchRequest{
+		Jobs: []*server.Job{job(50, true), job(51, false)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK() {
+		t.Fatalf("/optimize/batch: status %d (%+v)", out.Status, out.ErrDoc)
+	}
+	for k, route := range []bool{true, false} {
+		item := out.Response.Results[k]
+		if item.Error != nil {
+			t.Fatalf("/optimize/batch job %d: %+v", k, item.Error)
+		}
+		check(fmt.Sprintf("/optimize/batch route=%v", route), item.Result, route)
+	}
+}
+
 // TestCoordinatorAffinityDedupsRelabelings is the routing contract:
 // every relabeling of one instance carries the same canonical
 // fingerprint, routes to the same shard, and dedups through that
@@ -169,7 +230,7 @@ func TestCoordinatorAffinityDedupsRelabelings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := loadgen.New(cts.URL, 2)
 
-	first, err := c.Optimize(context.Background(), &server.Request{Instance: base, TimeoutMS: 20_000})
+	first, err := c.Optimize(context.Background(), &server.Request{Job: &server.Job{Instance: base, TimeoutMS: 20_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +241,10 @@ func TestCoordinatorAffinityDedupsRelabelings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		dup, err := c.Optimize(context.Background(), &server.Request{
+		dup, err := c.Optimize(context.Background(), &server.Request{Job: &server.Job{
 			Instance:  qon.Relabel(base, rng.Perm(6)),
 			TimeoutMS: 20_000,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

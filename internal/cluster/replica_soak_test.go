@@ -344,7 +344,7 @@ func TestSoakReplicaPartitionRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		instances[i] = in
-		out, err := c.Optimize(ctx, &server.Request{Instance: in, TimeoutMS: 20_000})
+		out, err := c.Optimize(ctx, &server.Request{Job: &server.Job{Instance: in, TimeoutMS: 20_000}})
 		if err != nil {
 			t.Fatalf("base %d transport: %v", i, err)
 		}
@@ -416,7 +416,7 @@ func TestSoakReplicaPartitionRejoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for i, base := range instances {
 		dup := qon.Relabel(base, rng.Perm(base.N()))
-		out, err := c.Optimize(ctx, &server.Request{Instance: dup, TimeoutMS: 20_000})
+		out, err := c.Optimize(ctx, &server.Request{Job: &server.Job{Instance: dup, TimeoutMS: 20_000}})
 		if err != nil {
 			t.Fatalf("duplicate %d transport: %v", i, err)
 		}

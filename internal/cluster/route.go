@@ -15,7 +15,6 @@ import (
 
 	"approxqo/internal/cluster/replica"
 	"approxqo/internal/server"
-	"approxqo/internal/trace"
 )
 
 // routeKey derives the ring key for a decoded request: the worker's
@@ -32,22 +31,6 @@ func routeKey(req *server.Request, body []byte) string {
 		return "raw:" + hex.EncodeToString(sum[:])
 	}
 	return replica.Key(req.ResolvedModel(), len(perm), fp)
-}
-
-// forwardBody re-encodes the decoded request as a tagged job for the
-// worker, with timeout_ms rewritten to the remaining hop budget — the
-// deadline-propagation half of the routing contract.
-func forwardBody(req *server.Request, remaining time.Duration) ([]byte, error) {
-	job := &server.Job{
-		Model:       req.Model,
-		Instance:    req.Instance,
-		QOHInstance: req.QOHInstance,
-		Workload:    req.Workload,
-		TimeoutMS:   remaining.Milliseconds(),
-	}
-	return json.Marshal(struct {
-		Job *server.Job `json:"job"`
-	}{job})
 }
 
 // upstream is the outcome of one upstream attempt. Exactly one of two
@@ -72,11 +55,13 @@ func (u *upstream) terminal() bool {
 }
 
 // tryWorker issues one attempt against one worker. It recomputes the
-// remaining hop budget, POSTs the job, and validates the response
-// (200s must decode to a certified, permutation-valid result; errors
-// must decode to a structured document). Health and latency are
-// observed here, exactly once per attempt.
-func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, req *server.Request, hedge bool) *upstream {
+// remaining hop budget and POSTs the jobs with timeout_ms rewritten to
+// it — the deadline-propagation half of the routing contract — as one
+// /optimize job, or with batch set as one /optimize/batch sub-batch. It
+// validates the response: a 200 must decode to a certified,
+// permutation-valid result per job, an error to a structured document.
+// Health and latency are observed here, exactly once per attempt.
+func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, jobs []*server.Job, batch, hedge bool) *upstream {
 	u := &upstream{worker: worker, hedge: hedge}
 	deadline, ok := ctx.Deadline()
 	remaining := time.Duration(0)
@@ -87,12 +72,24 @@ func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, re
 		u.err = fmt.Errorf("cluster: hop budget exhausted before attempt: %w", context.DeadlineExceeded)
 		return u
 	}
-	body, err := forwardBody(req, remaining)
+	fwd := make([]*server.Job, len(jobs))
+	for k, j := range jobs {
+		cp := *j
+		cp.TimeoutMS = remaining.Milliseconds()
+		fwd[k] = &cp
+	}
+	path, payload := "/optimize", any(&server.Request{Job: fwd[0]})
+	check := func(data []byte) error { _, err := decodeWorkerResult(data); return err }
+	if batch {
+		path, payload = "/optimize/batch", &server.BatchRequest{Jobs: fwd}
+		check = func(data []byte) error { _, err := decodeWorkerBatch(data, len(fwd)); return err }
+	}
+	body, err := json.Marshal(payload)
 	if err != nil {
-		u.err = fmt.Errorf("cluster: encoding forwarded job: %w", err)
+		u.err = fmt.Errorf("cluster: encoding %s body: %w", path, err)
 		return u
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/optimize", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+path, bytes.NewReader(body))
 	if err != nil {
 		u.err = err
 		return u
@@ -101,7 +98,8 @@ func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, re
 	hreq.Header.Set(server.RequestIDHeader, rid)
 	if peers := c.replicaPeers(key, worker); len(peers) > 0 {
 		// Name the key's ring successors so the worker can fan its
-		// certified result out asynchronously after the cache store. The
+		// certified results out asynchronously after the cache store (a
+		// sub-batch holds one shape, so one replica set serves it). The
 		// cluster secret proves the hint came from the coordinator — the
 		// worker ignores the header on unauthenticated requests.
 		hreq.Header.Set(server.ReplicateToHeader, replicateToHeader(peers))
@@ -125,10 +123,10 @@ func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, re
 	}
 	u.status, u.body = resp.StatusCode, data
 	if u.status == http.StatusOK {
-		if _, err := decodeWorkerResult(data); err != nil {
+		if err := check(data); err != nil {
 			// A truncated or corrupted 200 must never reach the client:
 			// demote it to a retryable upstream failure.
-			u.err = fmt.Errorf("cluster: invalid 200 from %s: %w", worker, err)
+			u.err = fmt.Errorf("cluster: invalid %s 200 from %s: %w", path, worker, err)
 			c.health.observe(worker, false)
 			c.cfg.Metrics.Counter(MetricUpstreamErrors).Inc()
 			return u
@@ -213,15 +211,20 @@ func decodeWorkerError(data []byte) (*server.ErrorDoc, error) {
 	return &doc, nil
 }
 
-// dispatch routes one decoded request: primary attempt (with a hedge
-// race once the hedge delay fires), then budgeted failover retries
-// down the replica preference list. It returns the outcome to relay,
-// which may still be a retryable failure when every avenue is
-// exhausted — the caller renders that as a 502 upstream document.
-func (c *Coordinator) dispatch(ctx context.Context, span *trace.Span, rid string, req *server.Request, key string) *upstream {
+// errNoWorkers fails a dispatch over an empty ring.
+var errNoWorkers = errors.New("cluster: no workers in the ring")
+
+// dispatch routes jobs that share one ring key: a primary attempt, then
+// budgeted failover retries down the key's replica preference list. A
+// single /optimize job's primary races a hedge once the hedge delay
+// fires; a sub-batch (batch set) is never hedged — a duplicated
+// sub-batch multiplies whole engine-run groups, not one tail request.
+// It returns the outcome to relay, which may still be a retryable
+// failure when every avenue is exhausted, and the attempts made.
+func (c *Coordinator) dispatch(ctx context.Context, rid, key string, jobs []*server.Job, batch bool) (*upstream, int) {
 	prefs := c.routeOrder(key)
 	if len(prefs) == 0 {
-		return &upstream{err: errors.New("cluster: no workers in the ring")}
+		return &upstream{err: errNoWorkers}, 0
 	}
 	next := 0
 	nextWorker := func() string {
@@ -230,7 +233,13 @@ func (c *Coordinator) dispatch(ctx context.Context, span *trace.Span, rid string
 		return w
 	}
 	m := c.cfg.Metrics
-	res := c.attemptHedged(ctx, rid, key, req, nextWorker)
+	var res *upstream
+	if batch {
+		m.Counter(MetricAttempts).Inc()
+		res = c.tryWorker(ctx, nextWorker(), rid, key, jobs, true, false)
+	} else {
+		res = c.attemptHedged(ctx, rid, key, jobs, nextWorker)
+	}
 	attempts := 1
 	for retry := 0; !res.terminal() && retry < c.cfg.MaxRetries; retry++ {
 		if ctx.Err() != nil {
@@ -245,12 +254,10 @@ func (c *Coordinator) dispatch(ctx context.Context, span *trace.Span, rid string
 		}
 		m.Counter(MetricRetries).Inc()
 		m.Counter(MetricAttempts).Inc()
-		res = c.tryWorker(ctx, nextWorker(), rid, key, req, false)
+		res = c.tryWorker(ctx, nextWorker(), rid, key, jobs, batch, false)
 		attempts++
 	}
-	span.SetField("worker", res.worker)
-	span.SetField("attempts", attempts)
-	return res
+	return res, attempts
 }
 
 // routeOrder is the ring's preference list for key, stably partitioned
@@ -276,14 +283,14 @@ func (c *Coordinator) routeOrder(key string) []string {
 // answer wins; the loser's context is cancelled. Safe because every
 // relayed 200 is a certified result for the same canonical instance —
 // the two answers are interchangeable.
-func (c *Coordinator) attemptHedged(ctx context.Context, rid, key string, req *server.Request, nextWorker func() string) *upstream {
+func (c *Coordinator) attemptHedged(ctx context.Context, rid, key string, jobs []*server.Job, nextWorker func() string) *upstream {
 	m := c.cfg.Metrics
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan *upstream, 2)
 	m.Counter(MetricAttempts).Inc()
 	primary := nextWorker()
-	go func() { ch <- c.tryWorker(actx, primary, rid, key, req, false) }()
+	go func() { ch <- c.tryWorker(actx, primary, rid, key, jobs, false, false) }()
 
 	delay := c.hedgeDelay()
 	if delay < 0 || c.ring.Size() < 2 {
@@ -333,7 +340,7 @@ func (c *Coordinator) attemptHedged(ctx context.Context, rid, key string, req *s
 			pending++
 			hedging++
 			hedge := nextWorker()
-			go func() { ch <- c.tryWorker(actx, hedge, rid, key, req, true) }()
+			go func() { ch <- c.tryWorker(actx, hedge, rid, key, jobs, false, true) }()
 		case <-ctx.Done():
 			return &upstream{err: ctx.Err()}
 		}
@@ -399,7 +406,9 @@ func (c *Coordinator) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), req.ResolveBudget(c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
 	defer cancel()
 
-	res := c.dispatch(ctx, span, rid, req, key)
+	res, attempts := c.dispatch(ctx, rid, key, []*server.Job{req.Job}, false)
+	span.SetField("worker", res.worker)
+	span.SetField("attempts", attempts)
 	if res.err != nil {
 		status, kind := http.StatusBadGateway, "upstream"
 		if errors.Is(res.err, context.DeadlineExceeded) || ctx.Err() != nil {

@@ -213,7 +213,7 @@ func TestSoakCoordinatorChaosWithWorkerKill(t *testing.T) {
 					if j > 0 {
 						in = qon.Relabel(base, rng.Perm(base.N()))
 					}
-					out, err := c.Optimize(ctx, &server.Request{Instance: in, TimeoutMS: 20_000})
+					out, err := c.Optimize(ctx, &server.Request{Job: &server.Job{Instance: in, TimeoutMS: 20_000}})
 					if err != nil {
 						record(i, j, false, fmt.Errorf("transport: %v", err))
 						continue
@@ -287,7 +287,7 @@ func TestSoakCoordinatorChaosWithWorkerKill(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	keyOf := func(in *qon.Instance) string {
-		req := &server.Request{Instance: in}
+		req := &server.Request{Job: &server.Job{Instance: in}}
 		return routeKey(req, nil)
 	}
 	want := keyOf(base)

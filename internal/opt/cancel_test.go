@@ -84,11 +84,7 @@ func TestWithStatsCountsEvaluations(t *testing.T) {
 		case Annealing:
 			wrapped = NewAnnealing(WithSeed(2), WithIterations(50), WithStats(st))
 		case DP:
-			wrapped = NewDP(WithStats(st))
-		case DPNoCross:
-			wrapped = NewDPNoCross(WithStats(st))
-		case DPParallel:
-			wrapped = NewDPParallel(WithStats(st))
+			wrapped = newDP(v.variant, []Option{WithStats(st)})
 		case Exhaustive:
 			wrapped = NewExhaustive(WithStats(st))
 		case Greedy:

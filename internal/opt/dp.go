@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"approxqo/internal/graph"
 	"approxqo/internal/num"
@@ -32,25 +34,84 @@ const ctxCheckMaskStride = 1024
 // O(2^n·n²) operations. This is what certifies optima for the
 // competitive-ratio experiments.
 //
+// Masks with k set bits depend only on masks with k−1 set bits, so the
+// table fills in popcount layers. One implementation serves three
+// optimizers:
+//
+//   - subset-dp (NewDP, and the zero value): one worker.
+//   - subset-dp-parallel (NewDPParallel): each layer sharded across
+//     WithWorkers goroutines (default GOMAXPROCS). Every table entry is
+//     computed by the same operations in the same order, so results and
+//     stats are bit-identical to the serial run.
+//   - subset-dp-no-cross (NewDPNoCross): the recurrence restricted to
+//     sequences without cartesian products — every join after the first
+//     adds a relation adjacent (in the query graph) to the joined
+//     prefix, itself reachable that way. This is the search space of
+//     Cluet–Moerkotte ([2] in the paper); §4 remarks that the Theorem 9
+//     gap is unchanged under this restriction, and the A2 ablation
+//     experiment verifies exactly that with this optimizer. Its result
+//     is optimal only within that space — the global optimum may use a
+//     cartesian product and be strictly cheaper — so Result.Exact
+//     (global optimality) stays false, and a restricted optimum never
+//     ends an ensemble early or wins an exact tie. On a disconnected
+//     query graph no such sequence exists and Optimize errors.
+//
 // The DP has no complete plan until the final subset, so on context
 // cancellation Optimize returns the context's error rather than a
 // partial result.
 type DP struct {
-	// MaxN caps the instance size; zero means DefaultMaxDPN.
+	// MaxN caps the instance size; zero means DefaultMaxDPN
+	// (DefaultMaxDPN + 2 for the parallel DP, which exists to go a
+	// little further).
 	MaxN int
 
-	cfg options
+	cfg     options
+	variant dpVariant
 }
+
+type dpVariant uint8
+
+const (
+	dpSerial dpVariant = iota
+	dpParallel
+	dpNoCross
+)
 
 // NewDP returns the subset-DP optimizer. Relevant options:
 // WithMaxRelations, WithStats.
-func NewDP(opts ...Option) DP {
+func NewDP(opts ...Option) DP { return newDP(dpSerial, opts) }
+
+// NewDPParallel returns the subset DP with each popcount layer sharded
+// across cores. Relevant options: WithMaxRelations, WithWorkers,
+// WithStats.
+func NewDPParallel(opts ...Option) DP { return newDP(dpParallel, opts) }
+
+// NewDPNoCross returns the cartesian-product-free subset DP. Relevant
+// options: WithMaxRelations, WithStats.
+func NewDPNoCross(opts ...Option) DP { return newDP(dpNoCross, opts) }
+
+func newDP(v dpVariant, opts []Option) DP {
 	o := buildOptions(opts)
-	return DP{MaxN: o.maxN, cfg: o}
+	return DP{MaxN: o.maxN, cfg: o, variant: v}
 }
 
 // Name implements Optimizer.
-func (DP) Name() string { return "subset-dp" }
+func (d DP) Name() string {
+	switch d.variant {
+	case dpParallel:
+		return "subset-dp-parallel"
+	case dpNoCross:
+		return "subset-dp-no-cross"
+	}
+	return "subset-dp"
+}
+
+// dpScratch is one worker's private mutable state for a layer sweep: a
+// bitset (ExtendInto takes bitsets) plus pooled accumulators.
+type dpScratch struct {
+	x                       *graph.Bitset
+	acc, factor, cand, best *num.Scratch
+}
 
 // Optimize implements Optimizer.
 func (d DP) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
@@ -58,9 +119,12 @@ func (d DP) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 	max := d.MaxN
 	if max == 0 {
 		max = DefaultMaxDPN
+		if d.variant == dpParallel {
+			max += 2
+		}
 	}
 	if n > max {
-		return nil, fmt.Errorf("opt: subset DP capped at n ≤ %d, got %d", max, n)
+		return nil, fmt.Errorf("opt: %s capped at n ≤ %d, got %d", d.Name(), max, n)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("opt: empty instance")
@@ -69,75 +133,143 @@ func (d DP) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 	if n == 1 {
 		return &Result{Sequence: qon.Sequence{0}, Cost: num.Zero(), Exact: true}, nil
 	}
+	workers := 1
+	if d.variant == dpParallel {
+		if workers = d.cfg.workers; workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	}
+
+	// joinable[v] is the set of relations a prefix must meet for v to
+	// join it: any relation, or under no-cross only v's neighbours.
+	joinable := make([]int, n)
+	for v := range joinable {
+		joinable[v] = -1
+		if d.variant == dpNoCross {
+			joinable[v] = 0
+			in.Q.Neighbors(v).ForEach(func(u int) { joinable[v] |= 1 << u })
+		}
+	}
 
 	total := 1 << n
 	// size[mask] = N(mask); dp[mask] = best cost to join exactly mask;
-	// parent[mask] = last vertex joined in the best plan for mask.
+	// parent[mask] = last vertex joined in the best plan for mask, or −1
+	// when no admissible sequence joins exactly mask (no-cross only).
 	size := make([]num.Num, total)
 	dp := make([]num.Num, total)
 	parent := make([]int8, total)
 	size[0] = num.One()
 
-	// Precompute sizes: N(mask) = N(mask\{low}) · factor(low, mask\{low}).
-	scratch := graph.NewBitset(n)
-	maskToBitset := func(mask int) *graph.Bitset {
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				scratch.Add(v)
-			} else {
-				scratch.Remove(v)
-			}
+	// All per-candidate arithmetic runs on pooled scratch accumulators,
+	// each owned by exactly one worker per layer; only the table entries
+	// materialize immutable Nums. The rounding sequence matches the
+	// immutable operations exactly, so the table (and the certified
+	// optimum) is bit-identical either way.
+	scratches := make([]dpScratch, workers)
+	for i := range scratches {
+		scratches[i] = dpScratch{
+			x:      graph.NewBitset(n),
+			acc:    num.NewScratch(),
+			factor: num.NewScratch(),
+			cand:   num.NewScratch(),
+			best:   num.NewScratch(),
 		}
-		return scratch
 	}
-	// All per-candidate arithmetic runs on pooled scratch accumulators;
-	// only the size/dp table entries materialize immutable Nums. The
-	// rounding sequence matches the immutable operations exactly, so the
-	// table (and the certified optimum) is bit-identical either way.
-	acc := num.NewScratch()
-	factor := num.NewScratch()
-	defer acc.Release()
-	defer factor.Release()
-	for mask := 1; mask < total; mask++ {
-		low := bits.TrailingZeros(uint(mask))
-		rest := mask &^ (1 << low)
-		in.ExtendInto(factor, low, maskToBitset(rest))
-		acc.Set(size[rest]).MulScratch(factor)
-		size[mask] = acc.Num()
-	}
+	defer func() {
+		for _, ws := range scratches {
+			ws.acc.Release()
+			ws.factor.Release()
+			ws.cand.Release()
+			ws.best.Release()
+		}
+	}()
 
+	// step fills mask's table entries from the previous layer's: first
+	// N(mask) = N(mask\{low}) · factor(low, mask\{low}), then the
+	// recurrence's argmin over the admissible last joins.
 	st := in.Stats()
 	minw := newMinWIndex(in)
-	cand := num.NewScratch()
-	bestAcc := num.NewScratch()
-	defer cand.Release()
-	defer bestAcc.Release()
-	for mask := 1; mask < total; mask++ {
-		if mask%ctxCheckMaskStride == 0 && cancelled(ctx) {
-			return nil, ctx.Err()
+	step := func(ws *dpScratch, mask int) {
+		low := bits.TrailingZeros(uint(mask))
+		rest := mask &^ (1 << low)
+		for v := 0; v < n; v++ {
+			if rest&(1<<v) != 0 {
+				ws.x.Add(v)
+			} else {
+				ws.x.Remove(v)
+			}
 		}
-		if bits.OnesCount(uint(mask)) < 2 {
-			dp[mask] = num.Zero()
-			parent[mask] = int8(bits.TrailingZeros(uint(mask)))
-			continue
+		in.ExtendInto(ws.factor, low, ws.x)
+		ws.acc.Set(size[rest]).MulScratch(ws.factor)
+		size[mask] = ws.acc.Num()
+		if rest == 0 {
+			dp[mask], parent[mask] = num.Zero(), int8(low)
+			return
 		}
+
 		st.DPSubset()
 		candidates := int64(0)
+		cand, best := ws.cand, ws.best
 		bestV := -1
 		for v := 0; v < n; v++ {
-			if mask&(1<<v) == 0 {
-				continue
-			}
 			rest := mask &^ (1 << v)
+			if rest == mask || parent[rest] < 0 || joinable[v]&rest == 0 {
+				continue // v not in mask, unreachable prefix, or a cartesian product
+			}
 			cand.Set(dp[rest]).MulAdd(size[rest], minw.min(in, v, rest))
 			candidates++
-			if bestV < 0 || cand.CmpScratch(bestAcc) < 0 {
-				cand, bestAcc = bestAcc, cand
+			if bestV < 0 || cand.CmpScratch(best) < 0 {
+				cand, best = best, cand
 				bestV = v
 			}
 		}
 		st.AddCostEvals(candidates)
-		dp[mask], parent[mask] = bestAcc.Num(), int8(bestV)
+		if parent[mask] = int8(bestV); bestV >= 0 {
+			dp[mask] = best.Num()
+		}
+	}
+	// scan steps through the masks with pc set bits whose positions, in
+	// increasing mask order, fall in [lo, hi).
+	scan := func(ws *dpScratch, pc, lo, hi int) {
+		mask := 1<<pc - 1
+		for i := 0; i < hi; i, mask = i+1, nextCombination(mask) {
+			if i < lo {
+				continue
+			}
+			if (i-lo)%ctxCheckMaskStride == 0 && cancelled(ctx) {
+				return
+			}
+			step(ws, mask)
+		}
+	}
+
+	// Each layer of C(n, pc) masks is split into contiguous chunks, one
+	// per worker.
+	for pc, layer := 1, 1; pc <= n; pc++ {
+		layer = layer * (n - pc + 1) / pc
+		if cancelled(ctx) {
+			return nil, ctx.Err()
+		}
+		if workers == 1 {
+			scan(&scratches[0], pc, 0, layer)
+			continue
+		}
+		var wg sync.WaitGroup
+		chunk := (layer + workers - 1) / workers
+		for w, lo := 0, 0; lo < layer; w, lo = w+1, lo+chunk {
+			wg.Add(1)
+			go func(ws *dpScratch, lo int) {
+				defer wg.Done()
+				scan(ws, pc, lo, min(lo+chunk, layer))
+			}(&scratches[w], lo)
+		}
+		wg.Wait()
+	}
+	if cancelled(ctx) {
+		return nil, ctx.Err()
+	}
+	if parent[total-1] < 0 {
+		return nil, fmt.Errorf("opt: no cartesian-product-free sequence (disconnected query graph)")
 	}
 
 	// Reconstruct the sequence.
@@ -156,5 +288,13 @@ func (d DP) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 	// differently in the last ulps than Evaluate's sequence-order walk
 	// on non-dyadic workloads — and certification demands bit-equality
 	// with the canonical recomputation.
-	return &Result{Sequence: seq, Cost: in.Cost(seq), Exact: true}, nil
+	return &Result{Sequence: seq, Cost: in.Cost(seq), Exact: d.variant != dpNoCross}, nil
+}
+
+// nextCombination returns the next larger integer with the same number
+// of set bits as x > 0 (Gosper's hack).
+func nextCombination(x int) int {
+	c := x & -x
+	r := x + c
+	return ((r^x)>>2)/c | r
 }

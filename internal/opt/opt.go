@@ -30,7 +30,7 @@ type Result struct {
 	Sequence qon.Sequence
 	Cost     num.Num
 	// Exact reports whether Cost is certified optimal over all n!
-	// sequences. An optimum over a restricted search space (DPNoCross)
+	// sequences. An optimum over a restricted search space (NewDPNoCross)
 	// is not exact.
 	Exact bool
 }

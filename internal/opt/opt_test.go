@@ -88,41 +88,6 @@ func TestExhaustiveCap(t *testing.T) {
 	}
 }
 
-// Property: the subset DP matches exhaustive enumeration exactly.
-func TestQuickDPMatchesExhaustive(t *testing.T) {
-	prop := func(seed int64, pRaw uint8) bool {
-		n := 3 + int(seed%4&3) // 3..6
-		if n < 3 {
-			n = 3
-		}
-		in := randomInstance(n, float64(pRaw)/255, seed)
-		ex, err1 := NewExhaustive().Optimize(ctx, in)
-		dp, err2 := NewDP().Optimize(ctx, in)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return ex.Cost.Equal(dp.Cost) && in.Cost(dp.Sequence).Equal(dp.Cost)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDPSingleRelation(t *testing.T) {
-	in := randomInstance(1, 0, 3)
-	r, err := NewDP().Optimize(ctx, in)
-	if err != nil || !r.Cost.IsZero() {
-		t.Fatalf("single relation: %v, %v", r, err)
-	}
-}
-
-func TestDPCap(t *testing.T) {
-	d := DP{MaxN: 5}
-	if _, err := d.Optimize(ctx, randomInstance(6, 0.5, 4)); err == nil {
-		t.Error("cap not enforced")
-	}
-}
-
 // Property: every heuristic returns a valid sequence costing at least
 // the DP optimum, and BestOf picks the cheapest.
 func TestQuickHeuristicsSound(t *testing.T) {

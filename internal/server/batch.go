@@ -102,7 +102,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	groupOf := make(map[string]int)
 	var groups []*batchGroup
 	for i, job := range br.Jobs {
-		req := requestForJob(job)
+		req := &Request{Job: job}
 		if err := req.Validate(); err != nil {
 			errDocs[i] = &ErrorBody{Kind: "bad_request", Message: err.Error(), RequestID: rid}
 			continue

@@ -299,15 +299,15 @@ func TestCacheHitIgnoresJSONKeyOrder(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":6,"seed":9},"model":"qon","timeout_ms":20000}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":6,"seed":9},"model":"qon","timeout_ms":20000}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first: %d %s", resp.StatusCode, data)
 	}
-	resp, data = postJSON(t, ts.URL, `{
+	resp, data = postJSON(t, ts.URL, `{"job": {
 		"timeout_ms": 20000,
 		"model":      "qon",
 		"workload":   {"seed": 9, "n": 6, "shape": "chain"}
-	}`)
+	}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reordered: %d %s", resp.StatusCode, data)
 	}
@@ -319,9 +319,10 @@ func TestCacheHitIgnoresJSONKeyOrder(t *testing.T) {
 	}
 }
 
-// The unified job schema: {"job": {...}} is accepted on /optimize,
-// mixing it with legacy top-level fields is rejected with a structured
-// error document, and the legacy form keeps decoding.
+// The unified job schema: {"job": {...}} is accepted on /optimize;
+// mixing it with top-level fields, or sending those fields alone (the
+// retired legacy form), is rejected with a structured error document
+// naming the job envelope.
 func TestJobFormAndMixedFormRejection(t *testing.T) {
 	s, err := New(Config{MaxConcurrent: 2})
 	if err != nil {
@@ -347,9 +348,21 @@ func TestJobFormAndMixedFormRejection(t *testing.T) {
 		t.Fatalf("mixed form error doc: %s", data)
 	}
 
-	resp, data = postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":6,"seed":5}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy form: %d %s", resp.StatusCode, data)
+	for _, body := range []string{
+		`{"workload":{"shape":"chain","n":6,"seed":5}}`,
+		`{"Workload":{"shape":"chain","n":6,"seed":5},"timeout_ms":100}`,
+		`{}`,
+		`null`,
+	} {
+		resp, data = postJSON(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("legacy form %s: %d, want 400 (%s)", body, resp.StatusCode, data)
+		}
+		doc = ErrorDoc{}
+		if err := json.Unmarshal(data, &doc); err != nil || doc.Error.Kind != "bad_request" ||
+			!strings.Contains(doc.Error.Message, `{"job": {...}}`) {
+			t.Fatalf("legacy form %s error doc does not name the job envelope: %s", body, data)
+		}
 	}
 }
 

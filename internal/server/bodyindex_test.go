@@ -256,8 +256,8 @@ func TestBodyIndexInvalidBodies(t *testing.T) {
 	}
 	h := s.Handler()
 	for _, body := range []string{
-		`{"workload":`,
-		`{"workload":{"shape":"chain","n":99}}`,
+		`{"job":{"workload":`,
+		`{"job":{"workload":{"shape":"chain","n":99}}}`,
 		`{"job":{"workload":{"shape":"chain","n":6}},"timeout_ms":5}`,
 	} {
 		for i := 0; i < 3; i++ {

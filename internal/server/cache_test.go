@@ -25,7 +25,7 @@ func TestCacheHitServesCertifiedResult(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `{"workload":{"shape":"chain","n":7,"seed":11}}`
+	body := `{"job":{"workload":{"shape":"chain","n":7,"seed":11}}}`
 	resp, data := postJSON(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %d %s", resp.StatusCode, data)
@@ -57,7 +57,7 @@ func TestCacheHitServesCertifiedResult(t *testing.T) {
 	}
 
 	// A different instance (new seed) must miss.
-	resp, data = postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":7,"seed":12}}`)
+	resp, data = postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":7,"seed":12}}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("third request: %d %s", resp.StatusCode, data)
 	}
@@ -69,18 +69,18 @@ func TestCacheHitServesCertifiedResult(t *testing.T) {
 // timeout_ms must not split the cache key: a certified result is valid
 // for any later budget.
 func TestCacheKeyIgnoresTimeout(t *testing.T) {
-	a, err := DecodeRequest([]byte(`{"workload":{"shape":"star","n":6,"seed":3},"timeout_ms":100}`))
+	a, err := DecodeRequest([]byte(`{"job":{"workload":{"shape":"star","n":6,"seed":3},"timeout_ms":100}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeRequest([]byte(`{"workload":{"shape":"star","n":6,"seed":3},"timeout_ms":9000}`))
+	b, err := DecodeRequest([]byte(`{"job":{"workload":{"shape":"star","n":6,"seed":3},"timeout_ms":9000}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cacheKey(a) == "" || cacheKey(a) != cacheKey(b) {
 		t.Fatalf("keys differ across budgets: %q vs %q", cacheKey(a), cacheKey(b))
 	}
-	c, err := DecodeRequest([]byte(`{"workload":{"shape":"star","n":6,"seed":4}}`))
+	c, err := DecodeRequest([]byte(`{"job":{"workload":{"shape":"star","n":6,"seed":4}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCacheDisabledAndChaosBypass(t *testing.T) {
 		t.Fatal("CacheSize < 0 left the cache enabled")
 	}
 	ts := httptest.NewServer(s.Handler())
-	body := `{"workload":{"shape":"chain","n":6,"seed":1}}`
+	body := `{"job":{"workload":{"shape":"chain","n":6,"seed":1}}}`
 	for i := 0; i < 2; i++ {
 		resp, data := postJSON(t, ts.URL, body)
 		if resp.StatusCode != http.StatusOK {
@@ -223,7 +223,7 @@ func TestCacheConcurrentIdenticalRequests(t *testing.T) {
 	defer ts.Close()
 
 	const clients = 12
-	body := `{"workload":{"shape":"star","n":7,"seed":21},"timeout_ms":20000}`
+	body := `{"job":{"workload":{"shape":"star","n":7,"seed":21},"timeout_ms":20000}}`
 	errs := make(chan error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {

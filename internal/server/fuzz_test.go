@@ -7,30 +7,60 @@ import (
 )
 
 // FuzzServerRequestJSON mirrors qon's FuzzInstanceJSON for the daemon's
-// request decoder: arbitrary JSON must never panic DecodeRequest, and
-// every accepted request must be internally consistent — it validates,
+// request decoder: arbitrary JSON must never panic DecodeRequest, its
+// one-scan envelope path must agree with decodeWhole (acceptance, error
+// text and decoded job), and every accepted request must be internally consistent — it validates,
 // resolves a budget within the configured bounds, produces a valid
 // instance, and survives a marshal/decode round trip.
 func FuzzServerRequestJSON(f *testing.F) {
-	f.Add(`{"workload":{"shape":"chain","n":5}}`)
-	f.Add(`{"workload":{"shape":"random","n":8,"seed":7,"edge_prob":0.5},"timeout_ms":250}`)
-	f.Add(`{"model":"qon","instance":{"query_graph":{"n":2,"edges":[[0,1]]},"sizes":["2","2"],` +
-		`"selectivities":[["1","2"],["2","1"]],"access_costs":[["2","2"],["2","2"]]}}`)
-	f.Add(`{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
-		`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}`)
-	f.Add(`{"workload":{"shape":"chain","n":5},"instance":{"query_graph":{"n":2,"edges":[[0,1]]}}}`)
-	f.Add(`{"workload":{"shape":"pentagon","n":5}}`)
-	f.Add(`{"workload":{"shape":"chain","n":5},"timeout_ms":-1}`)
+	f.Add(`{"job":{"workload":{"shape":"chain","n":5}}}`)
+	f.Add(`{"job":{"workload":{"shape":"random","n":8,"seed":7,"edge_prob":0.5},"timeout_ms":250}}`)
+	f.Add(`{"job":{"model":"qon","instance":{"query_graph":{"n":2,"edges":[[0,1]]},"sizes":["2","2"],` +
+		`"selectivities":[["1","2"],["2","1"]],"access_costs":[["2","2"],["2","2"]]}}}`)
+	f.Add(`{"job":{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
+		`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}}`)
+	f.Add(`{"job":{"workload":{"shape":"chain","n":5},"instance":{"query_graph":{"n":2,"edges":[[0,1]]}}}}`)
+	f.Add(`{"job":{"workload":{"shape":"pentagon","n":5}}}`)
+	f.Add(`{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":-1}}`)
 	f.Add(`{}`)
 	f.Add(`[]`)
 	f.Add(`null`)
+	// Spellings around DecodeRequest's `{"job": V}` path: taken, and
+	// falling back to decodeWhole.
+	const w = `{"workload":{"shape":"star","n":6},"timeout_ms":250}`
+	for _, body := range []string{
+		" \t\r\n{ \n\"JoB\" \t:\r " + w + " \n} \n",
+		`{"j\u006fb":` + w + `}`,
+		`{"job":` + w + `,"job":{"timeout_ms":9}}`,
+		`{"job":` + w + `,"workload":{"shape":"star","n":6}}`,
+		`{"workload":{"shape":"star","n":6},"job":` + w + `}`,
+		`{"job":` + w + `}}`,
+		`{"job":` + w + `} x`,
+		"\v{\"job\":" + w + "}",
+		"{\"job\":" + w + "\v}",
+		`{"job":null}`,
+		`{"job":}`,
+		`{"job":[]}`,
+		`{"job":{"timeout_ms":"x"}}`,
+		`{"jobs":` + w + `}`,
+		`{"bob":` + w + `}`,
+	} {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
 		}
 		req, err := DecodeRequest([]byte(input))
+		ref, rerr := decodeWhole([]byte(input))
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("DecodeRequest error %v, decodeWhole error %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if a, b := mustMarshal(t, req), mustMarshal(t, ref); a != b {
+			t.Fatalf("DecodeRequest decoded %s, decodeWhole %s", a, b)
 		}
 		// Accepted requests were validated on decode; Validate must agree
 		// with itself on a second pass.
@@ -110,7 +140,7 @@ func FuzzBatchRequestJSON(f *testing.F) {
 			if job == nil {
 				t.Fatalf("decoder accepted a null job at index %d", i)
 			}
-			req := requestForJob(job)
+			req := &Request{Job: job}
 			if err := req.Validate(); err != nil {
 				continue // per-job failure: the handler answers it with an error doc
 			}
@@ -136,7 +166,7 @@ func FuzzBatchRequestJSON(f *testing.F) {
 			if fp == "" {
 				t.Fatalf("job %d canonicalized to an empty fingerprint", i)
 			}
-			fp2, _, _ := requestForJob(job).canonicalID()
+			fp2, _, _ := (&Request{Job: job}).canonicalID()
 			if fp2 != fp {
 				t.Fatalf("job %d fingerprint not deterministic: %q vs %q", i, fp, fp2)
 			}
@@ -159,4 +189,13 @@ func FuzzBatchRequestJSON(f *testing.F) {
 			t.Fatalf("round trip changed job count: %d -> %d", len(br.Jobs), len(back.Jobs))
 		}
 	})
+}
+
+func mustMarshal(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -59,7 +59,7 @@ func TestOptimizeRetriesBackpressureThenSucceeds(t *testing.T) {
 	c.BaseBackoff = time.Millisecond
 	c.MaxBackoff = 5 * time.Millisecond
 	out, err := c.Optimize(context.Background(), &server.Request{
-		Workload: &server.WorkloadSpec{Shape: "chain", N: 3},
+		Job: &server.Job{Workload: &server.WorkloadSpec{Shape: "chain", N: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)

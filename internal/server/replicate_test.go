@@ -247,7 +247,7 @@ func TestReplicateFanOutOnStore(t *testing.T) {
 	defer ts.Close()
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/optimize",
-		bytes.NewReader([]byte(`{"workload":{"shape":"chain","n":6,"seed":3}}`)))
+		bytes.NewReader([]byte(`{"job":{"workload":{"shape":"chain","n":6,"seed":3}}}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestReplicateToIgnoredWithoutSecret(t *testing.T) {
 
 	for _, secret := range []string{"", "wrong-secret"} {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/optimize",
-			bytes.NewReader([]byte(`{"workload":{"shape":"chain","n":6,"seed":3}}`)))
+			bytes.NewReader([]byte(`{"job":{"workload":{"shape":"chain","n":6,"seed":3}}}`)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func TestCacheHitMismatchedEntryEvictedNotServed(t *testing.T) {
 	// Resolve the real cache key of a 6-relation request, then plant a
 	// self-consistent 3-relation certified report under it (what a
 	// malicious offer would have stored before key↔report binding).
-	body := []byte(`{"workload":{"shape":"chain","n":6,"seed":3}}`)
+	body := []byte(`{"job":{"workload":{"shape":"chain","n":6,"seed":3}}}`)
 	req, err := DecodeRequest(body)
 	if err != nil {
 		t.Fatal(err)

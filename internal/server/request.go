@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -64,26 +65,12 @@ type Job struct {
 	Route *bool `json:"route,omitempty"`
 }
 
-// Request is the JSON body of POST /optimize: either a tagged job
-// object under the "job" key, or — deprecated, kept decoding for one
-// release — the same fields at the top level. Mixing the two forms is
-// rejected with a structured error document.
+// Request is the JSON body of POST /optimize: one tagged job object,
+// `{"job": {...}}`. The job's fields promote (req.Instance is
+// req.Job.Instance). A body without the "job" key, or with any other
+// top-level key, is rejected with a structured error document.
 type Request struct {
-	// Job is the tagged form. When set, no legacy top-level field may
-	// be present.
-	Job *Job `json:"job,omitempty"`
-
-	// Legacy top-level fields.
-	//
-	// Deprecated: send the same fields inside the "job" object instead;
-	// the top-level form will stop decoding one release after the batch
-	// API's introduction.
-	Model       string        `json:"model,omitempty"`
-	Instance    *qon.Instance `json:"instance,omitempty"`
-	QOHInstance *qoh.Instance `json:"qoh_instance,omitempty"`
-	Workload    *WorkloadSpec `json:"workload,omitempty"`
-	TimeoutMS   int64         `json:"timeout_ms,omitempty"`
-	Route       *bool         `json:"route,omitempty"`
+	*Job `json:"job"`
 
 	// Resolved state, computed at most once per request: the generated
 	// workload instance and the canonical identity (fingerprint plus the
@@ -112,13 +99,31 @@ type Request struct {
 
 // DecodeRequest parses and validates one request body. Errors are
 // safe to echo to clients.
+//
+// A body spelled `{"job": V}` decodes V on its own, so the body is
+// scanned once; any other spelling, and any V that does not decode,
+// goes through decodeWhole, whose result and errors are the same.
 func DecodeRequest(data []byte) (*Request, error) {
+	req := &Request{}
+	if v, ok := envelopeValue(data); !ok || json.Unmarshal(v, &req.Job) != nil {
+		return decodeWhole(data)
+	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodeWhole is DecodeRequest for any body: it decodes the whole
+// object, so errors name fields as the client nested them, then
+// rejects top-level keys other than "job".
+func decodeWhole(data []byte) (*Request, error) {
 	var req Request
 	if err := json.Unmarshal(data, &req); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
-	if err := req.normalize(); err != nil {
-		return nil, err
+	if key, ok := strayKey(data); ok {
+		return nil, fmt.Errorf("request has top-level key %q: send only the job envelope {\"job\": {...}}", key)
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -126,33 +131,65 @@ func DecodeRequest(data []byte) (*Request, error) {
 	return &req, nil
 }
 
-// normalize folds the tagged job form into the legacy working fields,
-// rejecting bodies that mix the two forms (an ambiguous request is more
-// likely a client bug than an intent).
-func (r *Request) normalize() error {
-	if r.Job == nil {
-		return nil
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\n\r"
+
+// envelopeValue returns V when data is `{"job": V}` up to whitespace,
+// with the key unescaped in any letter case and V running to the last
+// closing brace. V is not checked here: when it decodes as one JSON
+// value, data is a valid object whose only key is "job".
+func envelopeValue(data []byte) ([]byte, bool) {
+	data = bytes.Trim(data, jsonSpace)
+	if len(data) < 2 || data[0] != '{' || data[len(data)-1] != '}' {
+		return nil, false
 	}
-	if r.Model != "" || r.Instance != nil || r.QOHInstance != nil || r.Workload != nil || r.TimeoutMS != 0 || r.Route != nil {
-		return fmt.Errorf("request mixes the job object with legacy top-level fields; send one form only (the top-level form is deprecated)")
+	data = bytes.TrimLeft(data[1:len(data)-1], jsonSpace)
+	if len(data) < 5 || data[0] != '"' || data[4] != '"' || !bytes.EqualFold(data[1:4], []byte("job")) {
+		return nil, false
 	}
-	r.Model, r.Instance, r.QOHInstance, r.Workload, r.TimeoutMS, r.Route =
-		r.Job.Model, r.Job.Instance, r.Job.QOHInstance, r.Job.Workload, r.Job.TimeoutMS, r.Job.Route
-	r.Job = nil
-	return nil
+	data = bytes.TrimLeft(data[5:], jsonSpace)
+	if len(data) == 0 || data[0] != ':' {
+		return nil, false
+	}
+	return data[1:], true
 }
 
-// requestForJob wraps one batch job as a Request so the two endpoints
-// share validation, budget resolution and canonical identity.
-func requestForJob(j *Job) *Request {
-	return &Request{
-		Model:       j.Model,
-		Instance:    j.Instance,
-		QOHInstance: j.QOHInstance,
-		Workload:    j.Workload,
-		TimeoutMS:   j.TimeoutMS,
-		Route:       j.Route,
+// strayKey returns the first top-level key of the JSON object in data
+// that is not "job", matched as encoding/json matches keys to fields
+// (case-insensitively, after unescaping). data must be valid JSON.
+func strayKey(data []byte) (string, bool) {
+	depth, expectKey := 0, false
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; c {
+		case '"':
+			end := i + 1
+			for ; data[end] != '"'; end++ {
+				if data[end] == '\\' {
+					end++
+				}
+			}
+			if depth == 1 && expectKey {
+				key := data[i+1 : end]
+				if bytes.IndexByte(key, '\\') >= 0 {
+					var s string
+					json.Unmarshal(data[i:end+1], &s)
+					key = []byte(s)
+				}
+				if !bytes.EqualFold(key, []byte("job")) {
+					return string(key), true
+				}
+			}
+			expectKey, i = false, end
+		case '{', '[':
+			depth++
+			expectKey = c == '{' && depth == 1
+		case '}', ']':
+			depth--
+		case ',':
+			expectKey = depth == 1
+		}
 	}
+	return "", false
 }
 
 // Validate checks the cross-field constraints the per-instance decoders
@@ -162,6 +199,9 @@ func requestForJob(j *Job) *Request {
 // which reject an invalid instance before it reaches a Request, so
 // they are not validated again here.
 func (r *Request) Validate() error {
+	if r.Job == nil {
+		return fmt.Errorf(`request needs the job envelope {"job": {...}}`)
+	}
 	sources := 0
 	for _, set := range []bool{r.Instance != nil, r.QOHInstance != nil, r.Workload != nil} {
 		if set {

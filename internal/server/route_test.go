@@ -120,7 +120,7 @@ func TestRoutedAdversarialSurvivesDegradedRung(t *testing.T) {
 
 	first := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":6},"timeout_ms":5000}`)
+		resp, _ := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":6},"timeout_ms":5000}}`)
 		first <- resp.StatusCode
 	}()
 	waitFor(t, func() bool { return s.InFlight() >= 1 })

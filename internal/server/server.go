@@ -45,7 +45,6 @@ import (
 	"approxqo/internal/cluster/replica"
 	"approxqo/internal/engine"
 	"approxqo/internal/opt"
-	"approxqo/internal/qoh"
 	"approxqo/internal/trace"
 )
 
@@ -883,8 +882,16 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 	var rep *engine.Report
 	var dec *classify.Decision
 	var err error
+	var skips []engine.SkipRecord
 	if req.model() == "qoh" {
-		rep, err = s.eng.RunQOH(ctx, req.QOHInstance, s.qohEnsemble(req.QOHInstance, rung, seed)...)
+		// The load ladder sheds the exact tier (qoh-exhaustive).
+		d := classify.Unrouted()
+		if rung.Degraded() {
+			d = d.Degrade()
+		}
+		var searchers []engine.QOHSearcher
+		searchers, skips = classify.QOHEnsemble(d, req.QOHInstance.N(), seed, s.breaker.Allow)
+		rep, err = s.eng.RunQOH(ctx, req.QOHInstance, searchers...)
 	} else {
 		in, ierr := req.qonInstance()
 		if ierr != nil {
@@ -900,12 +907,8 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 			// instances the heuristics, keeping the certified exact tier.
 			d = d.Degrade()
 		}
-		optimizers, skips := classify.Ensemble(d, in.N(), seed, s.breaker.Allow)
-		for _, sk := range skips {
-			if sk.Reason == engine.SkipBreaker {
-				s.cfg.Metrics.Counter(MetricBreakerSkips).Inc()
-			}
-		}
+		var optimizers []opt.Optimizer
+		optimizers, skips = classify.Ensemble(d, in.N(), seed, s.breaker.Allow)
 		if len(s.chaosRules) > 0 {
 			optimizers = chaos.Apply(s.chaosRules, optimizers,
 				append(append([]chaos.Option(nil), s.cfg.ChaosOptions...), chaos.WithSeed(seed))...)
@@ -926,11 +929,14 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 			}
 		}
 		rep, err = s.eng.Run(ctx, in, optimizers...)
-		if rep != nil {
-			rep.Skipped = skips
+	}
+	for _, sk := range skips {
+		if sk.Reason == engine.SkipBreaker {
+			s.cfg.Metrics.Counter(MetricBreakerSkips).Inc()
 		}
 	}
 	if rep != nil {
+		rep.Skipped = skips
 		for i := range rep.Runs {
 			rec := &rep.Runs[i]
 			if rec.Certified {
@@ -943,30 +949,6 @@ func (s *Server) run(ctx context.Context, req *Request, rung Rung) (*engine.Repo
 		}
 	}
 	return rep, dec, err
-}
-
-// qohEnsemble builds the QO_H plan-search ensemble: qoh-exhaustive only
-// at the full rung and within its cap, open breaker circuits left out.
-// Chaos wrapping does not apply (the injectors target opt.Optimizer).
-func (s *Server) qohEnsemble(in *qoh.Instance, rung Rung, seed int64) []engine.QOHSearcher {
-	searchers := engine.QOHSearchers(opt.WithSeed(seed))
-	keep := searchers[:0]
-	for _, sr := range searchers {
-		if sr.Name == "qoh-exhaustive" && (rung != RungFull || in.N() > qoh.MaxExhaustiveN) {
-			continue
-		}
-		if !s.breaker.Allow(sr.Name) {
-			s.cfg.Metrics.Counter(MetricBreakerSkips).Inc()
-			continue
-		}
-		keep = append(keep, sr)
-	}
-	if len(keep) == 0 {
-		// Never serve an empty ensemble: a fully open breaker half-opens
-		// here, probing every searcher again.
-		return engine.QOHSearchers(opt.WithSeed(seed))
-	}
-	return keep
 }
 
 // Result is the success document of POST /optimize.

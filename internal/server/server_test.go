@@ -79,22 +79,22 @@ func TestDecodeRequestValidation(t *testing.T) {
 	reject := []struct{ name, body string }{
 		{"empty", `{}`},
 		{"not json", `}{`},
-		{"two sources", `{"workload":{"shape":"chain","n":5},"instance":{"query_graph":{"n":1,"edges":[]},"sizes":["2"],"selectivities":[["1"]],"access_costs":[["2"]]}}`},
-		{"bad model", `{"model":"bushy","workload":{"shape":"chain","n":5}}`},
-		{"model mismatch", `{"model":"qoh","workload":{"shape":"chain","n":5}}`},
-		{"bad shape", `{"workload":{"shape":"pentagram","n":5}}`},
-		{"n too small", `{"workload":{"shape":"chain","n":1}}`},
-		{"n too large", fmt.Sprintf(`{"workload":{"shape":"chain","n":%d}}`, MaxRequestN+1)},
-		{"bad edge prob", `{"workload":{"shape":"random","n":5,"edge_prob":1.5}}`},
-		{"negative timeout", `{"timeout_ms":-1,"workload":{"shape":"chain","n":5}}`},
-		{"invalid instance", `{"instance":{"query_graph":{"n":1,"edges":[]},"sizes":["0"],"selectivities":[["1"]],"access_costs":[["1"]]}}`},
+		{"two sources", `{"job":{"workload":{"shape":"chain","n":5},"instance":{"query_graph":{"n":1,"edges":[]},"sizes":["2"],"selectivities":[["1"]],"access_costs":[["2"]]}}}`},
+		{"bad model", `{"job":{"model":"bushy","workload":{"shape":"chain","n":5}}}`},
+		{"model mismatch", `{"job":{"model":"qoh","workload":{"shape":"chain","n":5}}}`},
+		{"bad shape", `{"job":{"workload":{"shape":"pentagram","n":5}}}`},
+		{"n too small", `{"job":{"workload":{"shape":"chain","n":1}}}`},
+		{"n too large", fmt.Sprintf(`{"job":{"workload":{"shape":"chain","n":%d}}}`, MaxRequestN+1)},
+		{"bad edge prob", `{"job":{"workload":{"shape":"random","n":5,"edge_prob":1.5}}}`},
+		{"negative timeout", `{"job":{"timeout_ms":-1,"workload":{"shape":"chain","n":5}}}`},
+		{"invalid instance", `{"job":{"instance":{"query_graph":{"n":1,"edges":[]},"sizes":["0"],"selectivities":[["1"]],"access_costs":[["1"]]}}}`},
 	}
 	for _, c := range reject {
 		if _, err := DecodeRequest([]byte(c.body)); err == nil {
 			t.Errorf("%s: decoder accepted %s", c.name, c.body)
 		}
 	}
-	req, err := DecodeRequest([]byte(`{"workload":{"shape":"star","n":6,"seed":3},"timeout_ms":500}`))
+	req, err := DecodeRequest([]byte(`{"job":{"workload":{"shape":"star","n":6,"seed":3},"timeout_ms":500}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	// Full-rung QO_N request over a generated workload.
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":7,"seed":2}}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":7,"seed":2}}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
@@ -221,8 +221,8 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 
 	// QO_H request with an inline instance.
-	qohBody := `{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
-		`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}`
+	qohBody := `{"job":{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
+		`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}}`
 	resp, data = postJSON(t, ts.URL, qohBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("qoh status %d: %s", resp.StatusCode, data)
@@ -308,7 +308,7 @@ func TestReadyzReflectsEngineFailure(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5},"timeout_ms":3000}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":3000}}`)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("all-failed request: status %d body %s", resp.StatusCode, data)
 	}
@@ -357,7 +357,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal("panic not counted")
 	}
 	// The server survives: a normal request still works.
-	if resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5}}`); resp.StatusCode != http.StatusOK {
+	if resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5}}}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic request failed: %d %s", resp.StatusCode, data)
 	}
 }
@@ -381,7 +381,7 @@ func TestDegradedUnderLoad(t *testing.T) {
 
 	first := make(chan *Result, 1)
 	go func() {
-		resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":6},"timeout_ms":5000}`)
+		resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":6},"timeout_ms":5000}}`)
 		if resp.StatusCode == http.StatusOK {
 			first <- decodeResult(t, data)
 		} else {
@@ -390,7 +390,7 @@ func TestDegradedUnderLoad(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return s.InFlight() >= 1 })
 
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":6},"timeout_ms":5000}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":6},"timeout_ms":5000}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second request: %d %s", resp.StatusCode, data)
 	}
@@ -435,13 +435,13 @@ func TestBackpressure429(t *testing.T) {
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			resp, _ := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5},"timeout_ms":5000}`)
+			resp, _ := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":5000}}`)
 			results <- resp.StatusCode
 		}()
 	}
 	waitFor(t, func() bool { return s.InFlight() == 2 })
 
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5}}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5}}}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity request: status %d body %s", resp.StatusCode, data)
 	}
@@ -477,12 +477,12 @@ func TestQueueDeadline(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5},"timeout_ms":5000}`)
+		postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":5000}}`)
 		close(done)
 	}()
 	waitFor(t, func() bool { return s.InFlight() == 1 })
 
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5},"timeout_ms":60}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":60}}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("queued-past-budget request: %d %s", resp.StatusCode, data)
 	}
@@ -512,7 +512,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	statuses := make(chan int, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			resp, _ := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":6},"timeout_ms":5000}`)
+			resp, _ := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":6},"timeout_ms":5000}}`)
 			statuses <- resp.StatusCode
 		}()
 	}
@@ -531,7 +531,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	})
 
 	// New work is refused while draining…
-	resp, data := postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5}}`)
+	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5}}}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain: %d", resp.StatusCode)
 	}
@@ -568,7 +568,7 @@ func TestShutdownDeadlineExceeded(t *testing.T) {
 	defer ts.Close()
 	done := make(chan struct{})
 	go func() {
-		postJSON(t, ts.URL, `{"workload":{"shape":"chain","n":5},"timeout_ms":10000}`)
+		postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":10000}}`)
 		close(done)
 	}()
 	waitFor(t, func() bool { return s.InFlight() == 1 })

@@ -69,24 +69,24 @@ func soakRequest(t *testing.T, i, j int) (*server.Request, bool) {
 	switch {
 	case k%16 == 7: // invalid: two instance sources → 400
 		var req server.Request
-		body := `{"workload":{"shape":"chain","n":5},` +
+		body := `{"job":{"workload":{"shape":"chain","n":5},` +
 			`"qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
-			`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}`
+			`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}}`
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatalf("building invalid request: %v", err)
 		}
 		return &req, false
 	case k%16 == 3: // inline QO_H
 		var req server.Request
-		body := `{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
-			`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}`
+		body := `{"job":{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
+			`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}}`
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatalf("building qoh request: %v", err)
 		}
 		return &req, true
 	default:
 		shapes := []string{"chain", "star", "cycle", "random"}
-		return &server.Request{
+		return &server.Request{Job: &server.Job{
 			Workload: &server.WorkloadSpec{
 				Shape:    shapes[k%len(shapes)],
 				N:        4 + k%4,
@@ -94,7 +94,7 @@ func soakRequest(t *testing.T, i, j int) (*server.Request, bool) {
 				EdgeProb: 0.5,
 			},
 			TimeoutMS: 10_000,
-		}, true
+		}}, true
 	}
 }
 
