@@ -104,20 +104,6 @@ func BenchmarkRegOptAnnealMoves(b *testing.B) {
 	}
 }
 
-// BenchmarkRegOptDPMask pins the scratch-converted subset DP at n=10.
-// The mask count per op is fixed (one full 2^n sweep), so per-op ns and
-// allocs ratios are per-mask ratios.
-func BenchmarkRegOptDPMask(b *testing.B) {
-	in := regInstance(b, 10)
-	dp := opt.NewDP()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dp.Optimize(ctx, in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRegOptScratchMulAdd pins the pooled mutable accumulator on
 // the DP inner-loop op pattern; BenchmarkRegOptImmutableMulAdd is the
 // same chain through immutable num.Num values, kept side by side so the

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 
-	"approxqo/internal/cluster/replica"
 	"approxqo/internal/server"
 )
 
@@ -24,13 +23,6 @@ import (
 // engine-run groups, not one tail request — the premium is not worth
 // the tail).
 
-// clusterGroup is one shape group of a coordinator batch: the jobs
-// (by original index) that share one ring key.
-type clusterGroup struct {
-	key  string
-	idxs []int
-}
-
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	m := c.cfg.Metrics
 	m.Counter(MetricBatchRequests).Inc()
@@ -44,7 +36,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	span.SetField("request_id", rid)
 	if r.Method != http.MethodPost {
 		span.SetField("kind", "method_not_allowed")
-		writeErrorDoc(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
+		server.WriteErrorDoc(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
 			"use POST with a JSON request body", 0)
 		return
 	}
@@ -55,17 +47,17 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		m.Gauge(MetricInFlight).Add(-1)
 	}()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes))
 	if err != nil {
 		span.SetField("kind", "too_large")
-		writeErrorDoc(w, rid, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("request body exceeds %d bytes", c.cfg.MaxBodyBytes), 0)
+		server.WriteErrorDoc(w, rid, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", server.DefaultMaxBodyBytes), 0)
 		return
 	}
 	br, err := server.DecodeBatchRequest(body, c.cfg.MaxBatchJobs)
 	if err != nil {
 		span.SetField("kind", "bad_request")
-		writeErrorDoc(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		server.WriteErrorDoc(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	n := len(br.Jobs)
@@ -80,8 +72,6 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqs := make([]*server.Request, n)
 	results := make([]*server.Result, n)
 	errDocs := make([]*server.ErrorBody, n)
-	groupOf := make(map[string]int)
-	var groups []*clusterGroup
 	for i, job := range br.Jobs {
 		req := &server.Request{Job: job}
 		if err := req.Validate(); err != nil {
@@ -89,26 +79,14 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		reqs[i] = req
-		key := ""
-		if fp, perm, err := req.CanonicalID(); err == nil && fp != "" {
-			key = replica.Key(req.ResolvedModel(), len(perm), fp)
-		}
-		if key == "" {
-			key = fmt.Sprintf("\x00job\x00%d", i)
-		}
-		if gi, ok := groupOf[key]; ok {
-			groups[gi].idxs = append(groups[gi].idxs, i)
-			continue
-		}
-		groupOf[key] = len(groups)
-		groups = append(groups, &clusterGroup{key: key, idxs: []int{i}})
 	}
+	groups := server.GroupJobs(reqs, true)
 	span.SetField("shapes", len(groups))
 
 	var wg sync.WaitGroup
 	for _, g := range groups {
 		wg.Add(1)
-		go func(g *clusterGroup) {
+		go func(g *server.JobGroup) {
 			defer wg.Done()
 			c.dispatchGroup(r.Context(), rid, g, reqs, results, errDocs)
 		}(g)
@@ -120,34 +98,26 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		doc.Results[i] = server.BatchJobResult{Index: i, Result: results[i], Error: errDocs[i]}
 	}
 	span.SetField("status", http.StatusOK)
-	writeJSON(w, http.StatusOK, doc)
+	server.WriteJSON(w, http.StatusOK, doc)
 }
 
 // dispatchGroup routes one shape group as a worker sub-batch, failing
 // over down the group key's replica list under the shared retry
 // budget. Outcomes land per-job in results/errDocs at the group's
 // original indices.
-func (c *Coordinator) dispatchGroup(ctx context.Context, rid string, g *clusterGroup, reqs []*server.Request, results []*server.Result, errDocs []*server.ErrorBody) {
+func (c *Coordinator) dispatchGroup(ctx context.Context, rid string, g *server.JobGroup, reqs []*server.Request, results []*server.Result, errDocs []*server.ErrorBody) {
 	m := c.cfg.Metrics
 	m.Counter(MetricBatchShapes).Inc()
 	c.budget.deposit()
 
-	// The group's budget is the largest member budget, mirroring the
-	// worker's own batch policy.
-	budget := reqs[g.idxs[0]].ResolveBudget(c.cfg.DefaultTimeout, c.cfg.MaxTimeout)
-	for _, i := range g.idxs[1:] {
-		if b := reqs[i].ResolveBudget(c.cfg.DefaultTimeout, c.cfg.MaxTimeout); b > budget {
-			budget = b
-		}
-	}
-	gctx, cancel := context.WithTimeout(ctx, budget)
+	gctx, cancel := context.WithTimeout(ctx, g.Budget(reqs, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
 	defer cancel()
 
-	jobs := make([]*server.Job, len(g.idxs))
-	for k, i := range g.idxs {
+	jobs := make([]*server.Job, len(g.Idxs))
+	for k, i := range g.Idxs {
 		jobs[k] = reqs[i].Job
 	}
-	res, _ := c.dispatch(gctx, rid, g.key, jobs, true)
+	res, _ := c.dispatch(gctx, rid, g.Key, jobs, true)
 	if errors.Is(res.err, errNoWorkers) {
 		c.failGroup(g, errDocs, rid, "no_workers", "cluster has no workers in the ring")
 		return
@@ -164,15 +134,15 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, rid string, g *clusterG
 		// A structured worker refusal (429 overloaded, 503 draining, …):
 		// relay its document to every member.
 		doc, _ := decodeWorkerError(res.body)
-		for _, i := range g.idxs {
+		for _, i := range g.Idxs {
 			eb := doc.Error
 			eb.RequestID = rid
 			errDocs[i] = &eb
 		}
 		return
 	}
-	sub, _ := decodeWorkerBatch(res.body, len(g.idxs))
-	for k, i := range g.idxs {
+	sub, _ := decodeWorkerBatch(res.body, len(g.Idxs))
+	for k, i := range g.Idxs {
 		jr := sub.Results[k]
 		if jr.Error != nil {
 			eb := *jr.Error
@@ -186,8 +156,8 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, rid string, g *clusterG
 
 // failGroup writes one coordinator-origin error document to every
 // member of a group.
-func (c *Coordinator) failGroup(g *clusterGroup, errDocs []*server.ErrorBody, rid, kind, msg string) {
-	for _, i := range g.idxs {
+func (c *Coordinator) failGroup(g *server.JobGroup, errDocs []*server.ErrorBody, rid, kind, msg string) {
+	for _, i := range g.Idxs {
 		errDocs[i] = &server.ErrorBody{
 			Kind: kind, Message: msg,
 			RetryAfterMS: c.cfg.RetryAfter.Milliseconds(),
@@ -217,7 +187,7 @@ func decodeWorkerBatch(data []byte, wantJobs int) (*server.BatchResponse, error)
 				return nil, fmt.Errorf("job %d error document without a kind", k)
 			}
 		case jr.Result != nil:
-			if err := validateResult(jr.Result); err != nil {
+			if err := jr.Result.Report.CheckServed(jr.Result.N); err != nil {
 				return nil, fmt.Errorf("job %d: %w", k, err)
 			}
 		default:

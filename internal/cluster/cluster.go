@@ -93,14 +93,29 @@ const (
 	SpanBatch   = "cluster.batch"
 )
 
+// Fixed routing and handoff policy. hedgeFloor and hedgeCeil clamp the
+// adaptive hedge delay (the floor doubles as the delay before enough
+// latency samples accrue); hopMargin is withheld from the budget
+// forwarded to a worker, so the worker answers before the coordinator
+// gives up; one membership change streams at most handoffEntries
+// entries within handoffTimeout. Past either bound handoff degrades
+// gracefully: the ring still flips, the warm gauge stays 0, and
+// anti-entropy finishes the job under the retry budget's pacing.
+// Serving never waits on a handoff.
+const (
+	hedgeFloor     = time.Millisecond
+	hedgeCeil      = 2 * time.Second
+	hopMargin      = 5 * time.Millisecond
+	handoffEntries = 512
+	handoffTimeout = 5 * time.Second
+)
+
 // Config configures a Coordinator. The zero value plus a Workers list
 // is usable: every other field has a production-shaped default.
 type Config struct {
 	// Workers are the qod worker base URLs (http://host:port) forming
 	// the initial ring membership. At least one is required.
 	Workers []string
-	// VirtualNodes per worker on the ring (default DefaultVirtualNodes).
-	VirtualNodes int
 
 	// Transport issues upstream requests (default http.DefaultTransport);
 	// the chaos tests wrap it with a fault-injecting chaos.Transport.
@@ -111,18 +126,16 @@ type Config struct {
 	// the state machine). ProbeTimeout bounds one probe (default 250ms).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// DownAfter consecutive failures (in-band or probe) mark a worker
-	// down; DownCooldown is how long it stays down before half-opening
-	// (defaults DefaultDownAfter / DefaultDownCooldown).
-	DownAfter    int
+	// DownCooldown is how long a worker marked down (DefaultDownAfter
+	// consecutive in-band or probe failures) stays down before
+	// half-opening (default DefaultDownCooldown).
 	DownCooldown time.Duration
 
 	// MaxRetries caps failover retries per client request (default 2).
 	// Every retry also needs a token from the global retry budget:
-	// RetryRatio tokens accrue per client request up to RetryBurst
-	// (defaults DefaultRetryRatio / DefaultRetryBurst).
+	// DefaultRetryRatio tokens accrue per client request up to
+	// RetryBurst (default DefaultRetryBurst).
 	MaxRetries int
-	RetryRatio float64
 	RetryBurst int
 	// BaseBackoff and MaxBackoff shape the between-retry sleep (defaults
 	// 5ms / 100ms), jittered to [d/2, d).
@@ -130,22 +143,18 @@ type Config struct {
 	MaxBackoff  time.Duration
 
 	// HedgeAfter sets the hedging trigger: 0 (default) hedges after the
-	// adaptive p95 of recent upstream latencies, clamped to
-	// [HedgeFloor, HedgeCeil] (defaults 1ms / 2s; the floor doubles as
-	// the fallback before enough samples accrue); a positive value is a
-	// fixed delay; negative disables hedging entirely. Hedges draw from
-	// the same retry budget as retries.
+	// adaptive p95 of recent upstream latencies, clamped to [hedgeFloor,
+	// hedgeCeil]; a positive value is a fixed delay; negative disables
+	// hedging entirely. Hedges draw from the same retry budget as
+	// retries.
 	HedgeAfter time.Duration
-	HedgeFloor time.Duration
-	HedgeCeil  time.Duration
 
 	// DefaultTimeout and MaxTimeout mirror the worker's budget policy
 	// (defaults 2s / 30s): the coordinator resolves the client's budget
-	// once, then forwards the remaining slice (minus HopMargin, default
-	// 5ms) as the worker's timeout_ms on every attempt.
+	// once, then forwards the remaining slice (minus hopMargin) as the
+	// worker's timeout_ms on every attempt.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	HopMargin      time.Duration
 
 	// Replicas is the number of ring successors each worker's certified
 	// cache entries are replicated to: the coordinator names them in the
@@ -166,20 +175,11 @@ type Config struct {
 	// RepairInterval is the anti-entropy cadence (default 5s; negative
 	// disables the background loop — RepairOnce still works).
 	RepairInterval time.Duration
-	// HandoffEntries bounds the entries one membership change may
-	// stream (default 512). Past it, handoff degrades gracefully: the
-	// ring still flips, the warm gauge stays 0, and anti-entropy
-	// finishes the job under the retry budget's pacing.
-	HandoffEntries int
-	// HandoffTimeout bounds one hinted-handoff pass (default 5s);
-	// serving never waits on it.
-	HandoffTimeout time.Duration
 
-	// MaxBodyBytes bounds client request bodies (default
-	// server.DefaultMaxBodyBytes). MaxBatchJobs caps batch jobs (default
-	// server.DefaultMaxBatchJobs). RetryAfter is the hint attached to
-	// coordinator-origin 502/503 documents (default 250ms).
-	MaxBodyBytes int64
+	// MaxBatchJobs caps batch jobs (default server.DefaultMaxBatchJobs).
+	// RetryAfter is the hint attached to coordinator-origin 502/503
+	// documents (default 250ms). Client request bodies are bounded by
+	// server.DefaultMaxBodyBytes, as on the workers.
 	MaxBatchJobs int
 	RetryAfter   time.Duration
 
@@ -193,9 +193,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
@@ -204,9 +201,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 250 * time.Millisecond
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = DefaultDownAfter
 	}
 	if c.DownCooldown <= 0 {
 		c.DownCooldown = DefaultDownCooldown
@@ -220,20 +214,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 100 * time.Millisecond
 	}
-	if c.HedgeFloor <= 0 {
-		c.HedgeFloor = time.Millisecond
-	}
-	if c.HedgeCeil <= 0 {
-		c.HedgeCeil = 2 * time.Second
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
-	}
-	if c.HopMargin <= 0 {
-		c.HopMargin = 5 * time.Millisecond
 	}
 	if c.Replicas == 0 {
 		c.Replicas = replica.DefaultReplicas
@@ -246,15 +231,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 5 * time.Second
-	}
-	if c.HandoffEntries <= 0 {
-		c.HandoffEntries = 512
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 5 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = server.DefaultMaxBodyBytes
 	}
 	if c.MaxBatchJobs <= 0 {
 		c.MaxBatchJobs = server.DefaultMaxBatchJobs
@@ -307,15 +283,15 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(cfg.VirtualNodes),
-		budget:  newRetryBudget(cfg.RetryRatio, cfg.RetryBurst),
+		ring:    NewRing(DefaultVirtualNodes),
+		budget:  newRetryBudget(DefaultRetryRatio, cfg.RetryBurst),
 		lat:     newLatencyTracker(),
 		client:  &http.Client{Transport: cfg.Transport},
 		ridTag:  fmt.Sprintf("%08x", ringHash(strconv.FormatInt(cfg.Seed, 10))&0xffffffff),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		started: time.Now(),
 	}
-	c.health = newHealthBoard(cfg.DownAfter, cfg.DownCooldown, func(string) {
+	c.health = newHealthBoard(DefaultDownAfter, cfg.DownCooldown, func(string) {
 		cfg.Metrics.Counter(MetricWorkerDown).Inc()
 	})
 	for _, w := range cfg.Workers {
@@ -379,7 +355,7 @@ func (c *Coordinator) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
-				writeErrorDoc(w, r.Header.Get(server.RequestIDHeader), http.StatusInternalServerError,
+				server.WriteErrorDoc(w, r.Header.Get(server.RequestIDHeader), http.StatusInternalServerError,
 					"panic", fmt.Sprintf("internal error: %v", p), 0)
 			}
 		}()
@@ -493,7 +469,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.cfg.HedgeAfter > 0 {
 		return c.cfg.HedgeAfter
 	}
-	return c.lat.p95(c.cfg.HedgeFloor, c.cfg.HedgeFloor, c.cfg.HedgeCeil)
+	return c.lat.p95(hedgeFloor, hedgeFloor, hedgeCeil)
 }
 
 // HealthDoc is the coordinator's /healthz payload.
@@ -505,7 +481,7 @@ type HealthDoc struct {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, &HealthDoc{
+	server.WriteJSON(w, http.StatusOK, &HealthDoc{
 		Status:   "ok",
 		UptimeMS: float64(time.Since(c.started).Microseconds()) / 1000,
 		InFlight: int(c.inflight.Load()),
@@ -552,5 +528,5 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// 503 while the remaining requests are being answered.
 		status = http.StatusOK
 	}
-	writeJSON(w, status, doc)
+	server.WriteJSON(w, status, doc)
 }

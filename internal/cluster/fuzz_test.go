@@ -22,12 +22,14 @@ func FuzzWorkerResponseJSON(f *testing.F) {
 		`"report":{"model":"qon","n":2,"best":{"winner":"greedy","sequence":[0,1],` +
 		`"cost":"7","certified":true},"runs":[]}}`)
 	// Rejectable results: uncertified winner, truncated permutation,
-	// out-of-range relation, no winning plan, implausible n.
+	// out-of-range relation, no winning plan, implausible n, and a
+	// certified plan for an empty instance (no worker serves n = 0).
 	f.Add(`{"n":2,"report":{"best":{"winner":"dp","sequence":[0,1],"certified":false}}}`)
 	f.Add(`{"n":3,"report":{"best":{"winner":"dp","sequence":[0,1],"certified":true}}}`)
 	f.Add(`{"n":2,"report":{"best":{"winner":"dp","sequence":[0,2],"certified":true}}}`)
 	f.Add(`{"n":2,"report":{"runs":[]}}`)
 	f.Add(`{"n":1048577,"report":{"best":{"winner":"dp","certified":true}}}`)
+	f.Add(`{"n":0,"report":{"n":0,"best":{"winner":"dp","sequence":[],"cost":"1","certified":true},"runs":[]}}`)
 	// Error documents, well-formed and kindless.
 	f.Add(`{"error":{"kind":"overloaded","message":"q full","retry_after_ms":250,"request_id":"co-1"}}`)
 	f.Add(`{"error":{"message":"no kind"}}`)
@@ -56,7 +58,11 @@ func FuzzWorkerResponseJSON(f *testing.F) {
 		if res, err := decodeWorkerResult(data); err == nil {
 			// Accepted results carry the full certified-permutation
 			// contract, and re-encoding must not lose it.
-			if err := validateResult(res); err != nil {
+			if res.N < 1 || !res.Report.Best.Certified || len(res.Report.Best.Sequence) != res.N {
+				t.Fatalf("decoder accepted n=%d with a %d-relation winner (certified=%v)",
+					res.N, len(res.Report.Best.Sequence), res.Report.Best.Certified)
+			}
+			if err := res.Report.CheckServed(res.N); err != nil {
 				t.Fatalf("decoder accepted a result its own validator rejects: %v", err)
 			}
 			redo, err := json.Marshal(res)
@@ -94,7 +100,7 @@ func FuzzWorkerResponseJSON(f *testing.F) {
 					t.Fatalf("job %d: accepted without exactly one of result/error", k)
 				}
 				if jr.Result != nil {
-					if err := validateResult(jr.Result); err != nil {
+					if err := jr.Result.Report.CheckServed(jr.Result.N); err != nil {
 						t.Fatalf("job %d: accepted result fails validation: %v", k, err)
 					}
 				} else if jr.Error.Kind == "" {

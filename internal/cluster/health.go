@@ -8,7 +8,7 @@ import (
 
 // WorkerState is one worker's position in the health state machine:
 //
-//	healthy --failure--> suspect --DownAfter consecutive--> down
+//	healthy --failure--> suspect --DefaultDownAfter consecutive--> down
 //	suspect --success--> healthy
 //	down --DownCooldown lapses--> half-open: the next probe or routed
 //	     request is the trial; success closes the circuit (healthy),

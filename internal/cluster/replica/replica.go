@@ -11,11 +11,11 @@
 // a replica accepts an offered entry only if it re-proves the serving
 // layer's contract — certified winner, valid cost, permutation-valid
 // sequence in canonical label space, an exactness claim no other
-// certified run refutes, and a cache key under the current schema
-// whose declared instance size matches the report's — mirroring the
-// coordinator's checks on worker 200s. A corrupted or malicious offer is rejected
-// entry by entry, never crashing the receiver (FuzzCacheOfferJSON pins
-// this). On top of per-entry validation, every replication exchange is
+// certified run refutes (engine.Report.CheckServed, the same check the
+// coordinator applies to worker 200s), and a cache key under the
+// current schema whose declared instance size matches the report's. A
+// corrupted or malicious offer is rejected entry by entry, never
+// crashing the receiver (FuzzCacheOfferJSON pins this). On top of per-entry validation, every replication exchange is
 // authenticated: peers prove cluster membership with the shared secret
 // in the AuthHeader header, so the /cache/* surface is never open to
 // arbitrary clients.
@@ -120,16 +120,12 @@ type Entry struct {
 	Report *engine.Report `json:"report"`
 }
 
-// maxEntryN mirrors the coordinator's plausibility cap on instance
-// sizes (validateResult); a report claiming more relations is corrupt
-// or hostile, not large.
-const maxEntryN = 1 << 20
-
 // Validate re-proves the serving contract on one offered entry. Every
 // acceptor (worker /cache/offer, coordinator export fetch) must call it
 // before trusting the entry: replication moves certified results
 // between caches, and an entry that fails any check would let a
-// corrupted replica poison a healthy one.
+// corrupted replica poison a healthy one. The report itself must pass
+// engine.Report.CheckServed for the size its key declares.
 func (e *Entry) Validate() error {
 	if e == nil {
 		return errors.New("null entry")
@@ -150,28 +146,18 @@ func (e *Entry) Validate() error {
 		return fmt.Errorf("entry key has unknown model %q", model)
 	}
 	keyN, err := strconv.Atoi(nStr)
-	if err != nil || keyN < 1 || keyN > maxEntryN {
+	if err != nil || keyN < 1 || keyN > engine.MaxServedN {
 		return fmt.Errorf("entry key declares implausible instance size %q", nStr)
 	}
 	if len(fp) > 128 {
 		return fmt.Errorf("entry fingerprint is %d bytes, cap is 128", len(fp))
 	}
 	rep := e.Report
-	if rep == nil || rep.Best == nil {
-		return errors.New("entry has no winning plan")
+	if err := rep.CheckServed(keyN); err != nil {
+		return err
 	}
 	if rep.Model != "" && rep.Model != model {
 		return fmt.Errorf("entry key model %q disagrees with report model %q", model, rep.Model)
-	}
-	best := rep.Best
-	if !best.Certified {
-		return fmt.Errorf("winner %q is not certified", best.Winner)
-	}
-	if !best.Cost.IsValid() {
-		return fmt.Errorf("winner %q carries no plan cost", best.Winner)
-	}
-	if rep.N < 1 || rep.N > maxEntryN {
-		return fmt.Errorf("implausible instance size %d", rep.N)
 	}
 	if rep.N != keyN {
 		// The key↔report binding: a report stored under a key declaring a
@@ -179,17 +165,7 @@ func (e *Entry) Validate() error {
 		// later hit, so the mismatch is refused here, at the boundary.
 		return fmt.Errorf("entry key declares n=%d, report has n=%d", keyN, rep.N)
 	}
-	if len(best.Sequence) != rep.N {
-		return fmt.Errorf("winning sequence has %d relations, instance has %d", len(best.Sequence), rep.N)
-	}
-	seen := make([]bool, rep.N)
-	for _, r := range best.Sequence {
-		if r < 0 || r >= rep.N || seen[r] {
-			return fmt.Errorf("winning sequence %v is not a permutation", best.Sequence)
-		}
-		seen[r] = true
-	}
-	return rep.AuditExact()
+	return nil
 }
 
 // OfferRequest is the body of POST /cache/offer: entries a peer (the

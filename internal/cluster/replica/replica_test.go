@@ -93,11 +93,11 @@ func TestEntryValidateRejectsBrokenEntries(t *testing.T) {
 		"unknown model":  func(e *Entry) { e.Key = "s2:sql:3:deadbeef" },
 		"model mismatch": func(e *Entry) { e.Key = "s2:qoh:3:deadbeef" },
 		"key n mismatch": func(e *Entry) { e.Key = "s2:qon:4:deadbeef" },
-		"huge key n":     func(e *Entry) { e.Key = fmt.Sprintf("s2:qon:%d:deadbeef", maxEntryN+1) },
+		"huge key n":     func(e *Entry) { e.Key = fmt.Sprintf("s2:qon:%d:deadbeef", engine.MaxServedN+1) },
 		"non-numeric n":  func(e *Entry) { e.Key = "s2:qon:x:deadbeef" },
 		"negative n":     func(e *Entry) { e.Key = "s2:qon:-3:deadbeef" },
 		"zero n":         func(e *Entry) { e.Report.N = 0; e.Report.Best.Sequence = nil },
-		"huge n":         func(e *Entry) { e.Report.N = maxEntryN + 1 },
+		"huge n":         func(e *Entry) { e.Report.N = engine.MaxServedN + 1 },
 		"short sequence": func(e *Entry) { e.Report.Best.Sequence = e.Report.Best.Sequence[:2] },
 		"repeated label": func(e *Entry) { e.Report.Best.Sequence = []int{0, 0, 1} },
 		"label range":    func(e *Entry) { e.Report.Best.Sequence = []int{0, 1, 3} },

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -124,6 +125,81 @@ func rsoakKeys(t *testing.T, worker string) []string {
 	rsoakPost(t, worker+"/cache/keys",
 		&replica.KeysRequest{Ranges: []replica.Range{{Lo: 0, Hi: 0}}, Limit: replica.DefaultMaxOfferEntries}, &out)
 	return out.Keys
+}
+
+// A request sent through the coordinator is stored on the worker the
+// ring names for its routeKey, under exactly that key, whatever form
+// the request takes: anti-entropy digests the coordinator's ring arcs
+// against the keys workers store, so the two must agree. A relabeling
+// must share its original's key, or it would land on another shard.
+func TestRouteKeyIsWorkerCacheKey(t *testing.T) {
+	const workers = 3
+	urls := make([]string, workers)
+	for i := range urls {
+		_, ts := rsoakWorker(t, int64(700+i), nil)
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	// No cluster secret at the coordinator: replication stays off, so
+	// an entry exists only where the request itself was served.
+	co, err := New(Config{Workers: urls, ProbeInterval: -1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(co.Handler())
+	defer cts.Close()
+
+	in, err := workload.Generate(workload.Params{N: 7, Shape: workload.Random, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := func(in *qon.Instance) string {
+		body, err := json.Marshal(map[string]any{"job": map[string]any{"instance": in}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	cases := []struct{ name, body string }{
+		{"inline qon", inline(in)},
+		{"relabeled qon", inline(qon.Relabel(in, []int{6, 4, 2, 0, 1, 3, 5}))},
+		{"workload", `{"job":{"workload":{"shape":"chain","n":6,"seed":5}}}`},
+		{"qoh", `{"job":{"model":"qoh","qoh_instance":{"query_graph":{"n":3,"edges":[[0,1],[1,2]]},` +
+			`"sizes":["8","8","8"],"selectivities":[["1","0.5","1"],["0.5","1","0.5"],["1","0.5","1"]],"memory":"6"}}}`},
+	}
+	want := make(map[string][]string) // worker → keys it must hold
+	keys := make([]string, len(cases))
+	for i, tc := range cases {
+		resp, err := http.Post(cts.URL+"/optimize", "application/json", bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, data)
+		}
+		req, err := server.DecodeRequest([]byte(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = routeKey(req, []byte(tc.body))
+		owner := co.ring.Lookup(keys[i], 1)[0]
+		if !slices.Contains(want[owner], keys[i]) {
+			want[owner] = append(want[owner], keys[i])
+		}
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("relabeling routed by %q, original by %q", keys[1], keys[0])
+	}
+	for _, w := range urls {
+		got := rsoakKeys(t, w)
+		sort.Strings(got)
+		sort.Strings(want[w])
+		if fmt.Sprint(got) != fmt.Sprint(want[w]) {
+			t.Errorf("worker %s holds keys %q, want the route keys %q", w, got, want[w])
+		}
+	}
 }
 
 // One anti-entropy pass heals injected divergence — and a dry retry

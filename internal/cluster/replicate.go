@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"approxqo/internal/cluster/replica"
+	"approxqo/internal/server"
 )
 
 // Replication orchestration: the coordinator names each forwarded
@@ -22,8 +23,8 @@ import (
 //
 //   - hinted handoff (JoinWorker/RetireWorker): before the ring flips
 //     traffic, the keyspace whose ownership moves is streamed from a
-//     surviving replica to the new owner, bounded by HandoffEntries
-//     and HandoffTimeout. Serving never blocks on it — a handoff that
+//     surviving replica to the new owner, bounded by handoffEntries
+//     and handoffTimeout. Serving never blocks on it — a handoff that
 //     fails or exceeds its budget just leaves the warm gauge at 0 for
 //     anti-entropy to finish.
 //   - anti-entropy (StartRepair/RepairOnce): replica pairs exchange
@@ -33,7 +34,7 @@ import (
 //     traffic is priced exactly like retries and can never starve
 //     serving.
 
-// errHandoffBudget marks a handoff cut short by HandoffEntries.
+// errHandoffBudget marks a handoff cut short by handoffEntries.
 var errHandoffBudget = errors.New("cluster: handoff transfer budget exhausted")
 
 // replicaPeers names the workers (beyond the serving one) that should
@@ -123,10 +124,10 @@ func (c *Coordinator) RetireWorker(ctx context.Context, worker string) (int, err
 // read from or write to (retire). The first error is reported but the
 // remaining arcs are still attempted — partial warmth beats none.
 func (c *Coordinator) streamHandoff(ctx context.Context, delta []MovedRange, onlyTo, exclude string) (int, error) {
-	hctx, cancel := context.WithTimeout(ctx, c.cfg.HandoffTimeout)
+	hctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
 	m := c.cfg.Metrics
-	budget := c.cfg.HandoffEntries
+	budget := handoffEntries
 	moved := 0
 	var firstErr error
 	for _, mr := range delta {
@@ -382,7 +383,7 @@ func (c *Coordinator) postJSON(ctx context.Context, worker, path string, in, out
 	if err != nil {
 		return err
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, server.DefaultMaxBodyBytes))
 	resp.Body.Close()
 	if err != nil {
 		return fmt.Errorf("cluster: reading %s response from %s: %w", path, worker, err)

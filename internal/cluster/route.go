@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"approxqo/internal/cluster/replica"
@@ -18,19 +17,17 @@ import (
 )
 
 // routeKey derives the ring key for a decoded request: the worker's
-// cache key (replica.Key — model, instance size, canonical
-// fingerprint), so every relabeling of one query routes to the same
-// shard and the ring arcs the coordinator digests match the keys
-// workers store. A request whose fingerprint cannot be resolved (an
-// ungenerable workload spec) falls back to a raw body hash — still
+// cache key (Request.Key), so every relabeling of one query routes to
+// the same shard and the ring arcs the coordinator digests match the
+// keys workers store. A request whose fingerprint cannot be resolved
+// (an ungenerable workload spec) falls back to a raw body hash — still
 // deterministic, no affinity guarantee.
 func routeKey(req *server.Request, body []byte) string {
-	fp, perm, err := req.CanonicalID()
-	if err != nil || fp == "" {
-		sum := sha256.Sum256(body)
-		return "raw:" + hex.EncodeToString(sum[:])
+	if key := req.Key(); key != "" {
+		return key
 	}
-	return replica.Key(req.ResolvedModel(), len(perm), fp)
+	sum := sha256.Sum256(body)
+	return "raw:" + hex.EncodeToString(sum[:])
 }
 
 // upstream is the outcome of one upstream attempt. Exactly one of two
@@ -66,7 +63,7 @@ func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, jo
 	deadline, ok := ctx.Deadline()
 	remaining := time.Duration(0)
 	if ok {
-		remaining = time.Until(deadline) - c.cfg.HopMargin
+		remaining = time.Until(deadline) - hopMargin
 	}
 	if ok && remaining <= 0 {
 		u.err = fmt.Errorf("cluster: hop budget exhausted before attempt: %w", context.DeadlineExceeded)
@@ -153,49 +150,20 @@ func (c *Coordinator) tryWorker(ctx context.Context, worker, rid, key string, jo
 }
 
 // decodeWorkerResult validates one worker 200 body: it must decode to
-// a Result carrying a certified winning plan whose sequence is a
-// permutation of the instance's relations. This is the coordinator's
-// re-statement of the serving layer's core promise — a corrupted or
-// truncated body fails here and becomes a retryable upstream error
-// instead of reaching a client.
+// a Result whose report passes engine.Report.CheckServed for the
+// instance size it claims — a certified winning plan whose sequence is
+// a permutation of the instance's relations. A corrupted or truncated
+// body fails here and becomes a retryable upstream error instead of
+// reaching a client.
 func decodeWorkerResult(data []byte) (*server.Result, error) {
 	var res server.Result
 	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("undecodable result document: %w", err)
 	}
-	if err := validateResult(&res); err != nil {
+	if err := res.Report.CheckServed(res.N); err != nil {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// validateResult applies the coordinator's certification checks to one
-// decoded result (shared by the single and batch decoders).
-func validateResult(res *server.Result) error {
-	if res.Report == nil || res.Report.Best == nil {
-		return errors.New("result document has no winning plan")
-	}
-	best := res.Report.Best
-	if !best.Certified {
-		return fmt.Errorf("winner %q is not certified", best.Winner)
-	}
-	if !best.Cost.IsValid() {
-		return fmt.Errorf("winner %q carries no plan cost", best.Winner)
-	}
-	if res.N < 0 || res.N > 1<<20 {
-		return fmt.Errorf("implausible instance size %d", res.N)
-	}
-	if len(best.Sequence) != res.N {
-		return fmt.Errorf("winning sequence has %d relations, instance has %d", len(best.Sequence), res.N)
-	}
-	seen := make([]bool, res.N)
-	for _, r := range best.Sequence {
-		if r < 0 || r >= res.N || seen[r] {
-			return fmt.Errorf("winning sequence %v is not a permutation", best.Sequence)
-		}
-		seen[r] = true
-	}
-	return res.Report.AuditExact()
 }
 
 // decodeWorkerError validates one worker non-200 body: it must be a
@@ -375,7 +343,7 @@ func (c *Coordinator) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	span.SetField("request_id", rid)
 	if r.Method != http.MethodPost {
 		span.SetField("kind", "method_not_allowed")
-		writeErrorDoc(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
+		server.WriteErrorDoc(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
 			"use POST with a JSON request body", 0)
 		return
 	}
@@ -387,17 +355,17 @@ func (c *Coordinator) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}()
 	c.budget.deposit()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes))
 	if err != nil {
 		span.SetField("kind", "too_large")
-		writeErrorDoc(w, rid, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("request body exceeds %d bytes", c.cfg.MaxBodyBytes), 0)
+		server.WriteErrorDoc(w, rid, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", server.DefaultMaxBodyBytes), 0)
 		return
 	}
 	req, err := server.DecodeRequest(body)
 	if err != nil {
 		span.SetField("kind", "bad_request")
-		writeErrorDoc(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		server.WriteErrorDoc(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	key := routeKey(req, body)
@@ -415,7 +383,7 @@ func (c *Coordinator) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			status, kind = http.StatusGatewayTimeout, "deadline"
 		}
 		span.SetField("kind", kind)
-		writeErrorDoc(w, rid, status, kind,
+		server.WriteErrorDoc(w, rid, status, kind,
 			fmt.Sprintf("upstream attempts exhausted: %v", res.err), c.cfg.RetryAfter)
 		return
 	}
@@ -428,27 +396,4 @@ func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// writeErrorDoc renders a coordinator-origin structured error document
-// in the serving layer's shape, so clients (loadgen included) handle
-// coordinator and worker failures identically.
-func writeErrorDoc(w http.ResponseWriter, rid string, status int, kind, msg string, retryAfter time.Duration) {
-	var doc server.ErrorDoc
-	doc.Error.Kind = kind
-	doc.Error.Message = msg
-	doc.Error.RequestID = rid
-	if retryAfter > 0 {
-		doc.Error.RetryAfterMS = retryAfter.Milliseconds()
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((retryAfter+time.Second-1)/time.Second), 10))
-	}
-	writeJSON(w, status, &doc)
 }

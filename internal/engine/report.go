@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -148,8 +149,6 @@ type Report struct {
 // request-scoped garbage without pooling.
 var reportPool = sync.Pool{New: func() any { return &Report{} }}
 
-// newReport returns a pooled Report with Runs sized (and zeroed) for n
-// runs and every other field reset.
 // AuditExact re-checks the report's exactness claim against its own
 // runs (certify.ExactBest): an exact winner must not cost more than any
 // other certified run. Trust boundaries that accept reports they did
@@ -168,6 +167,46 @@ func (r *Report) AuditExact() error {
 	return certify.ExactBest(r.Best.Cost, r.Best.Exact, costs)
 }
 
+// MaxServedN caps the instance size a report received from another
+// process may claim: a larger one is corrupt or hostile, not large.
+const MaxServedN = 1 << 20
+
+// CheckServed re-proves the serving contract on a report received from
+// another process — a worker's relayed result or a replica's offered
+// cache entry — for an instance of n relations: a certified winner with
+// a plan cost, a winning sequence that is a permutation of 0..n-1, and
+// an exactness claim no other certified run refutes (AuditExact). Both
+// trust boundaries call it, so the coordinator and the replicas accept
+// exactly the same reports.
+func (r *Report) CheckServed(n int) error {
+	if r == nil || r.Best == nil {
+		return errors.New("report has no winning plan")
+	}
+	best := r.Best
+	if !best.Certified {
+		return fmt.Errorf("winner %q is not certified", best.Winner)
+	}
+	if !best.Cost.IsValid() {
+		return fmt.Errorf("winner %q carries no plan cost", best.Winner)
+	}
+	if n < 1 || n > MaxServedN {
+		return fmt.Errorf("implausible instance size %d", n)
+	}
+	if len(best.Sequence) != n {
+		return fmt.Errorf("winning sequence has %d relations, instance has %d", len(best.Sequence), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range best.Sequence {
+		if v < 0 || v >= n || seen[v] {
+			return fmt.Errorf("winning sequence %v is not a permutation", best.Sequence)
+		}
+		seen[v] = true
+	}
+	return r.AuditExact()
+}
+
+// newReport returns a pooled Report with Runs sized (and zeroed) for n
+// runs and every other field reset.
 func newReport(n int) *Report {
 	r := reportPool.Get().(*Report)
 	runs, quarantined, skipped := r.Runs, r.Quarantined, r.Skipped

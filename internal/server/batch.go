@@ -36,12 +36,56 @@ type BatchJobResult struct {
 	Error  *ErrorBody `json:"error,omitempty"`
 }
 
-// batchGroup is one admission group: jobs sharing a canonical cache
-// key, served by a single serveAdmitted call on the leader (the first
-// member).
-type batchGroup struct {
-	key  string
-	idxs []int
+// JobGroup is one admission group of a batch: the jobs, by index,
+// that share one instance key. The worker serves a group with one
+// engine run on its leader (the first member); the cluster coordinator
+// routes it to one worker as one sub-batch.
+type JobGroup struct {
+	Key  string
+	Idxs []int
+}
+
+// GroupJobs groups a batch's validated requests by Key, in order of
+// first appearance; nil entries (jobs that failed validation) are
+// skipped. A job whose key is empty — keyed is false, or its instance
+// cannot be resolved — forms a singleton group under a synthetic key
+// ("\x00" never prefixes a real key), so it runs on its own like an
+// /optimize request. Keying resolves each request's canonical
+// identity, so group before the requests are shared across goroutines.
+func GroupJobs(reqs []*Request, keyed bool) []*JobGroup {
+	groupOf := make(map[string]int)
+	var groups []*JobGroup
+	for i, req := range reqs {
+		if req == nil {
+			continue
+		}
+		key := ""
+		if keyed {
+			key = req.Key()
+		}
+		if key == "" {
+			key = fmt.Sprintf("\x00job\x00%d", i)
+		}
+		if gi, ok := groupOf[key]; ok {
+			groups[gi].Idxs = append(groups[gi].Idxs, i)
+			continue
+		}
+		groupOf[key] = len(groups)
+		groups = append(groups, &JobGroup{Key: key, Idxs: []int{i}})
+	}
+	return groups
+}
+
+// Budget is the group's deadline budget: the largest member budget,
+// so the most patient caller bounds the shared run.
+func (g *JobGroup) Budget(reqs []*Request, def, max time.Duration) time.Duration {
+	var budget time.Duration
+	for _, i := range g.Idxs {
+		if b := reqs[i].ResolveBudget(def, max); b > budget {
+			budget = b
+		}
+	}
+	return budget
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -53,7 +97,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "method_not_allowed")
-		writeErrorDocID(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
+		WriteErrorDoc(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
 			"use POST with a JSON request body", 0)
 		return
 	}
@@ -62,35 +106,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// refuse the whole batch for the price of a mutex, not a JSON parse.
 	if rej := s.precheck(); rej != nil {
 		span.SetField("kind", rej.kind)
-		writeErrorDocID(w, rid, rej.status, rej.kind, rej.msg, s.cfg.RetryAfter)
+		WriteErrorDoc(w, rid, rej.status, rej.kind, rej.msg, s.cfg.RetryAfter)
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	if err != nil {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "too_large")
-		writeErrorDocID(w, rid, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), 0)
+		WriteErrorDoc(w, rid, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes), 0)
 		return
 	}
 	br, err := DecodeBatchRequest(body, s.cfg.MaxBatchJobs)
 	if err != nil {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "bad_request")
-		writeErrorDocID(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		WriteErrorDoc(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	n := len(br.Jobs)
 	m.Counter(MetricBatchJobs).Add(int64(n))
 	span.SetField("jobs", n)
 
-	// Validate each job and group by canonical cache key. Canonical
-	// identity (fingerprint + permutation) is resolved here, before any
-	// goroutine shares a Request. Jobs without a usable key — cache
-	// disabled, chaos injection active, ungenerable workload — form
-	// singleton groups under a synthetic key ("\x00" never prefixes a
-	// real schema:model:n:fingerprint key), so they run per-job like /optimize.
+	// Validate each job, then group by instance key. Canonical identity
+	// (fingerprint + permutation) is resolved by GroupJobs, before any
+	// goroutine shares a Request. Without an active cache (disabled,
+	// chaos injection) every job runs on its own, like /optimize.
 	reqs := make([]*Request, n)
 	var replicaTo []string
 	if s.peerAuthed(r) {
@@ -99,8 +141,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		replicaTo = parseReplicaTo(r.Header.Get(ReplicateToHeader))
 	}
 	errDocs := make([]*ErrorBody, n)
-	groupOf := make(map[string]int)
-	var groups []*batchGroup
 	for i, job := range br.Jobs {
 		req := &Request{Job: job}
 		if err := req.Validate(); err != nil {
@@ -109,22 +149,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		req.replicaTo = replicaTo
 		req.canonUS = m.Histogram(MetricCanonUS)
-		reqs[i] = req
-		key := ""
 		if s.cacheActive() {
-			key = cacheKey(req)
 			req.rawKey = bodyKey(br.raw[i])
 		}
-		if key == "" {
-			key = fmt.Sprintf("\x00job\x00%d", i)
-		}
-		if gi, ok := groupOf[key]; ok {
-			groups[gi].idxs = append(groups[gi].idxs, i)
-			continue
-		}
-		groupOf[key] = len(groups)
-		groups = append(groups, &batchGroup{key: key, idxs: []int{i}})
+		reqs[i] = req
 	}
+	groups := GroupJobs(reqs, s.cacheActive())
 	span.SetField("shapes", len(groups))
 
 	results := make([]*Result, n)
@@ -132,7 +162,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	for _, g := range groups {
 		wg.Add(1)
-		go func(g *batchGroup) {
+		go func(g *JobGroup) {
 			defer wg.Done()
 			s.serveBatchGroup(r.Context(), rid, g, reqs, results, errDocs, rel)
 		}(g)
@@ -144,7 +174,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		doc.Results[i] = BatchJobResult{Index: i, Result: results[i], Error: errDocs[i]}
 	}
 	span.SetField("status", http.StatusOK)
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 	// Pooled reports and remap views stay alive until the whole batch
 	// document is written — mates reference their leader's pooled
 	// record buffers, so no group may release early.
@@ -179,12 +209,12 @@ func (rs *releaseSet) release() {
 // member receives the leader's report remapped into its own label
 // space — members of one group are relabelings of the same instance,
 // so a join sequence transfers through canonical space exactly.
-func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *batchGroup, reqs []*Request, results []*Result, errDocs []*ErrorBody, rel *releaseSet) {
+func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *JobGroup, reqs []*Request, results []*Result, errDocs []*ErrorBody, rel *releaseSet) {
 	m := s.cfg.Metrics
 	rung, rej := s.admit()
 	if rej != nil {
 		m.Counter(MetricBatchRejected).Inc()
-		for _, i := range g.idxs {
+		for _, i := range g.Idxs {
 			errDocs[i] = &ErrorBody{Kind: rej.kind, Message: rej.msg, RetryAfterMS: s.cfg.RetryAfter.Milliseconds(), RequestID: rid}
 		}
 		return
@@ -193,28 +223,20 @@ func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *batchGroup,
 	defer s.release()
 	m.Counter(MetricBatchShapes).Inc()
 
-	// The group's budget is the largest member budget: the slowest
-	// caller's patience bounds the shared run.
-	leader := reqs[g.idxs[0]]
-	budget := leader.budget(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	for _, i := range g.idxs[1:] {
-		if b := reqs[i].budget(s.cfg.DefaultTimeout, s.cfg.MaxTimeout); b > budget {
-			budget = b
-		}
-	}
-	runCtx, cancel := context.WithTimeout(ctx, budget)
+	leader := reqs[g.Idxs[0]]
+	runCtx, cancel := context.WithTimeout(ctx, g.Budget(reqs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	defer cancel()
 
 	out := s.serveAdmitted(runCtx, leader, rung, accepted)
 	if !out.ok {
-		for _, i := range g.idxs {
+		for _, i := range g.Idxs {
 			errDocs[i] = &ErrorBody{Kind: out.kind, Message: out.msg, RetryAfterMS: out.retryAfter.Milliseconds(), RequestID: rid}
 		}
 		return
 	}
 	rel.add(out.close)
-	results[g.idxs[0]] = out.result(leader.model())
-	if len(g.idxs) == 1 {
+	results[g.Idxs[0]] = out.result(leader.model())
+	if len(g.Idxs) == 1 {
 		return
 	}
 	// Fan out to group mates: leader labels → canonical labels → mate
@@ -222,14 +244,14 @@ func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *batchGroup,
 	// so every member's canonical permutation is resolved. The views
 	// share the leader's record buffers and are released with the set
 	// after the batch document is written.
-	_, leaderPerm, _ := leader.canonicalID()
+	_, leaderPerm, _ := leader.CanonicalID()
 	canonical, cv := viewRemapped(out.rep, leaderPerm)
 	if cv != nil {
 		rel.add(cv.release)
 	}
-	for _, i := range g.idxs[1:] {
+	for _, i := range g.Idxs[1:] {
 		req := reqs[i]
-		_, perm, _ := req.canonicalID()
+		_, perm, _ := req.CanonicalID()
 		mate := out.result(req.model())
 		mate.Cached = true
 		mate.QueueMS = 0

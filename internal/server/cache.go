@@ -37,25 +37,6 @@ const (
 	MetricCacheMismatch = "server.cache.mismatch"
 )
 
-// cacheKey keys the request's instance identity: the model, the
-// instance size, and the graph-invariant canonical fingerprint of the
-// resolved instance (replica.Key), deliberately excluding timeout_ms —
-// a certified full-rung result is a pure function of the instance (up
-// to heuristic seeds, which only certified winners survive), so it is
-// valid for any later budget. Because the fingerprint is
-// relabel-invariant, cosmetically different and relabeled duplicates
-// map to the same key; stored reports live in canonical label space
-// and are remapped per requester (see serveAdmitted). Encoding the
-// size in the key lets the replication trust boundary bind an offered
-// key to its report (replica.Entry.Validate).
-func cacheKey(req *Request) string {
-	fp, perm, err := req.canonicalID()
-	if err != nil {
-		return "" // ungenerable workload: skip caching, never fail the request
-	}
-	return replica.Key(req.model(), len(perm), fp)
-}
-
 // bodyKey is the byte identity of a request source: the hex SHA-256
 // of the exact bytes the client sent (a whole /optimize body, or one
 // batch job's raw JSON). The cache stores it with each entry for

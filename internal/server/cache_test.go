@@ -77,14 +77,14 @@ func TestCacheKeyIgnoresTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cacheKey(a) == "" || cacheKey(a) != cacheKey(b) {
-		t.Fatalf("keys differ across budgets: %q vs %q", cacheKey(a), cacheKey(b))
+	if a.Key() == "" || a.Key() != b.Key() {
+		t.Fatalf("keys differ across budgets: %q vs %q", a.Key(), b.Key())
 	}
 	c, err := DecodeRequest([]byte(`{"job":{"workload":{"shape":"star","n":6,"seed":4}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cacheKey(a) == cacheKey(c) {
+	if a.Key() == c.Key() {
 		t.Fatal("distinct instances share a cache key")
 	}
 }

@@ -71,7 +71,7 @@ func FuzzServerRequestJSON(f *testing.F) {
 			t.Fatalf("accepted request resolves to unknown model %q", m)
 		}
 		def, max := 2*time.Second, 30*time.Second
-		if d := req.budget(def, max); d <= 0 || d > max {
+		if d := req.ResolveBudget(def, max); d <= 0 || d > max {
 			t.Fatalf("budget %v out of range (0, %v]", d, max)
 		}
 		if req.model() == "qon" {
@@ -97,7 +97,7 @@ func FuzzServerRequestJSON(f *testing.F) {
 		if back.model() != req.model() {
 			t.Fatalf("round trip changed model: %q -> %q", req.model(), back.model())
 		}
-		if back.budget(def, max) != req.budget(def, max) {
+		if back.ResolveBudget(def, max) != req.ResolveBudget(def, max) {
 			t.Fatal("round trip changed the deadline budget")
 		}
 	})
@@ -147,7 +147,7 @@ func FuzzBatchRequestJSON(f *testing.F) {
 			if m := req.model(); m != "qon" && m != "qoh" {
 				t.Fatalf("job %d resolves to unknown model %q", i, m)
 			}
-			if d := req.budget(def, max); d <= 0 || d > max {
+			if d := req.ResolveBudget(def, max); d <= 0 || d > max {
 				t.Fatalf("job %d budget %v out of range (0, %v]", i, d, max)
 			}
 			// Canonicalization cost grows with instance size; bound the
@@ -159,14 +159,14 @@ func FuzzBatchRequestJSON(f *testing.F) {
 			} else if job.QOHInstance.N() > 12 {
 				continue
 			}
-			fp, perm, err := req.canonicalID()
+			fp, perm, err := req.CanonicalID()
 			if err != nil {
 				continue // ungenerable workload: the handler skips caching
 			}
 			if fp == "" {
 				t.Fatalf("job %d canonicalized to an empty fingerprint", i)
 			}
-			fp2, _, _ := (&Request{Job: job}).canonicalID()
+			fp2, _, _ := (&Request{Job: job}).CanonicalID()
 			if fp2 != fp {
 				t.Fatalf("job %d fingerprint not deterministic: %q vs %q", i, fp, fp2)
 			}

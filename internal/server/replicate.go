@@ -132,7 +132,7 @@ func (s *Server) replicate(peers []string, ent *replica.Entry) {
 
 // offerPeer POSTs one offer body to a peer's /cache/offer.
 func (s *Server) offerPeer(peer string, body []byte) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), s.replicaTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultReplicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/cache/offer", bytes.NewReader(body))
 	if err != nil {
@@ -149,13 +149,6 @@ func (s *Server) offerPeer(peer string, body []byte) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-func (s *Server) replicaTimeout() time.Duration {
-	if s.cfg.ReplicaTimeout > 0 {
-		return s.cfg.ReplicaTimeout
-	}
-	return DefaultReplicaTimeout
-}
-
 // cacheEndpointGate applies the shared preconditions of every /cache/*
 // endpoint: POST only, caching enabled, authenticated peer, body within
 // bounds. It returns the body and true, or writes the error and
@@ -163,26 +156,26 @@ func (s *Server) replicaTimeout() time.Duration {
 func (s *Server) cacheEndpointGate(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusMethodNotAllowed, "method_not_allowed",
+		WriteErrorDoc(w, requestID(r), http.StatusMethodNotAllowed, "method_not_allowed",
 			"use POST with a JSON request body", 0)
 		return nil, false
 	}
 	if s.cache == nil {
-		writeErrorDocID(w, requestID(r), http.StatusServiceUnavailable, "cache_disabled",
+		WriteErrorDoc(w, requestID(r), http.StatusServiceUnavailable, "cache_disabled",
 			"certified-result cache is disabled on this worker", 0)
 		return nil, false
 	}
 	if !s.peerAuthed(r) {
 		// The replication surface writes into (and enumerates) the
 		// certified-result cache; only cluster members may touch it.
-		writeErrorDocID(w, requestID(r), http.StatusForbidden, "unauthorized",
+		WriteErrorDoc(w, requestID(r), http.StatusForbidden, "unauthorized",
 			"cache replication requires the cluster secret", 0)
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	if err != nil {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusRequestEntityTooLarge, "too_large",
+		WriteErrorDoc(w, requestID(r), http.StatusRequestEntityTooLarge, "too_large",
 			"request body exceeds the configured bound", 0)
 		return nil, false
 	}
@@ -201,7 +194,7 @@ func (s *Server) handleCacheOffer(w http.ResponseWriter, r *http.Request) {
 	off, err := replica.DecodeOffer(body, replica.DefaultMaxOfferEntries)
 	if err != nil {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	s.cfg.Metrics.Counter(MetricCacheOffers).Inc()
@@ -216,7 +209,7 @@ func (s *Server) handleCacheOffer(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Metrics.Counter(MetricCacheOfferAccepted).Add(int64(resp.Accepted))
 	s.cfg.Metrics.Counter(MetricCacheOfferRejected).Add(int64(resp.Rejected))
-	writeJSON(w, http.StatusOK, &resp)
+	WriteJSON(w, http.StatusOK, &resp)
 }
 
 // handleCacheDigest is POST /cache/digest: per-range digests of the
@@ -229,16 +222,16 @@ func (s *Server) handleCacheDigest(w http.ResponseWriter, r *http.Request) {
 	var dreq replica.DigestRequest
 	if err := json.Unmarshal(body, &dreq); err != nil {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	if len(dreq.Ranges) == 0 || len(dreq.Ranges) > replica.MaxDigestRanges {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request",
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request",
 			"digest request needs 1..4096 ranges", 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, &replica.DigestResponse{
+	WriteJSON(w, http.StatusOK, &replica.DigestResponse{
 		Digests: replica.DigestRanges(s.cache.keys(), dreq.Ranges),
 	})
 }
@@ -253,12 +246,12 @@ func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	var kreq replica.KeysRequest
 	if err := json.Unmarshal(body, &kreq); err != nil {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	if len(kreq.Ranges) == 0 || len(kreq.Ranges) > replica.MaxDigestRanges {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request",
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request",
 			"keys request needs 1..4096 ranges", 0)
 		return
 	}
@@ -279,7 +272,7 @@ func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, &out)
+	WriteJSON(w, http.StatusOK, &out)
 }
 
 // handleCacheExport is POST /cache/export: full entries by key for
@@ -292,16 +285,16 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	var ereq replica.ExportRequest
 	if err := json.Unmarshal(body, &ereq); err != nil {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	if len(ereq.Keys) == 0 || len(ereq.Keys) > replica.DefaultMaxOfferEntries {
 		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		writeErrorDocID(w, requestID(r), http.StatusBadRequest, "bad_request",
+		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request",
 			"export request needs 1..256 keys", 0)
 		return
 	}
 	entries := s.cache.export(ereq.Keys)
 	s.cfg.Metrics.Counter(MetricCacheExported).Add(int64(len(entries)))
-	writeJSON(w, http.StatusOK, &replica.ExportResponse{Entries: entries})
+	WriteJSON(w, http.StatusOK, &replica.ExportResponse{Entries: entries})
 }

@@ -426,7 +426,7 @@ func TestCacheHitMismatchedEntryEvictedNotServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := cacheKey(req)
+	key := req.Key()
 	if key == "" {
 		t.Fatal("no cache key resolved")
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"approxqo/internal/cluster/replica"
 	"approxqo/internal/qoh"
 	"approxqo/internal/qon"
 	"approxqo/internal/trace"
@@ -88,7 +89,7 @@ type Request struct {
 	// rawKey digests exactly what a byte-identical replay would send
 	// and the entry it stores can be indexed by it.
 	wholeBody bool
-	// canonUS, when set, receives the time canonicalID spends labeling
+	// canonUS, when set, receives the time CanonicalID spends labeling
 	// (MetricCanonUS).
 	canonUS *trace.Histogram
 	fpDone  bool
@@ -279,29 +280,11 @@ func (r *Request) model() string {
 	return "qon"
 }
 
-// ResolvedModel reports the effective model ("qon" or "qoh") after
-// validation — the exported accessor the cluster coordinator routes by.
-// (The Model field itself may be empty: it defaults to qon.)
-func (r *Request) ResolvedModel() string { return r.model() }
-
-// ResolveBudget resolves the request's deadline budget from timeout_ms
-// and the given defaults, exactly as the serving layer does — exported
-// so the coordinator propagates the same budget across the hop.
+// ResolveBudget resolves the request's deadline budget from its
+// timeout_ms and the given defaults. The worker and the cluster
+// coordinator both call it, so the coordinator propagates the same
+// budget across the hop.
 func (r *Request) ResolveBudget(def, max time.Duration) time.Duration {
-	return r.budget(def, max)
-}
-
-// CanonicalID exposes the request's canonical identity (fingerprint,
-// permutation into canonical label space, resolution error) to the
-// cluster coordinator, which keys its consistent-hash routing on the
-// fingerprint so relabeled duplicates land on the same shard. Like
-// canonicalID, it is resolved at most once and is not safe for
-// concurrent use on one Request.
-func (r *Request) CanonicalID() (string, []int, error) { return r.canonicalID() }
-
-// budget resolves the request's deadline from its timeout_ms and the
-// server's defaults.
-func (r *Request) budget(def, max time.Duration) time.Duration {
 	d := time.Duration(r.TimeoutMS) * time.Millisecond
 	if d <= 0 {
 		d = def
@@ -310,6 +293,29 @@ func (r *Request) budget(def, max time.Duration) time.Duration {
 		d = max
 	}
 	return d
+}
+
+// Key is the request's instance identity: the model, the instance
+// size and the graph-invariant canonical fingerprint of the resolved
+// instance (replica.Key), deliberately excluding timeout_ms — a
+// certified full-rung result is a pure function of the instance (up
+// to heuristic seeds, which only certified winners survive), so it is
+// valid for any later budget. Because the fingerprint is
+// relabel-invariant, cosmetically different and relabeled duplicates
+// share a key. Workers store certified results under it and the
+// cluster coordinator routes by it, so every relabeling of one query
+// lands on the worker that holds its entry and the ring arcs the
+// coordinator digests match the keys workers store. Encoding the size
+// in the key lets the replication trust boundary bind an offered key
+// to its report (replica.Entry.Validate). Key is empty when the
+// instance cannot be resolved (an ungenerable workload): such a
+// request is neither cached nor routed by identity.
+func (r *Request) Key() string {
+	fp, perm, err := r.CanonicalID()
+	if err != nil {
+		return ""
+	}
+	return replica.Key(r.model(), len(perm), fp)
 }
 
 // qonInstance resolves the QO_N instance to optimize — inline or
@@ -331,14 +337,14 @@ func (r *Request) qonInstance() (*qon.Instance, error) {
 	return in, nil
 }
 
-// canonicalID resolves the request's canonical identity: the
+// CanonicalID resolves the request's canonical identity: the
 // graph-invariant instance fingerprint and the permutation pi mapping
 // the request's relation labels into canonical space (pi[v] = canonical
 // label of request label v). Both are computed at most once per
 // request; the labeling itself (not the generation of a workload
 // instance) is timed into canonUS. Not safe for concurrent use on one
 // Request — resolve before sharing across goroutines.
-func (r *Request) canonicalID() (string, []int, error) {
+func (r *Request) CanonicalID() (string, []int, error) {
 	if r.fpDone {
 		return r.fp, r.perm, r.fpErr
 	}

@@ -127,8 +127,6 @@ type Config struct {
 	// RetryAfter is the hint attached to 429/503 rejections (default
 	// 250ms).
 	RetryAfter time.Duration
-	// MaxBodyBytes bounds the request body (default DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// MaxBatchJobs caps the jobs array of POST /optimize/batch (default
 	// DefaultMaxBatchJobs).
 	MaxBatchJobs int
@@ -163,10 +161,8 @@ type Config struct {
 
 	// ReplicaTransport is the HTTP transport used for cache-replication
 	// fan-out to ring peers (nil means http.DefaultTransport). The chaos
-	// soak injects a partitioning transport here. ReplicaTimeout bounds
-	// one fan-out offer POST (default DefaultReplicaTimeout).
+	// soak injects a partitioning transport here.
 	ReplicaTransport http.RoundTripper
-	ReplicaTimeout   time.Duration
 	// ClusterSecret authenticates replication traffic: the /cache/*
 	// endpoints refuse requests that do not carry it in
 	// replica.AuthHeader, and the X-Replicate-To fan-out hint is honored
@@ -176,11 +172,6 @@ type Config struct {
 	// cache-write or fan-out primitive.
 	ClusterSecret string
 
-	// BreakerThreshold / BreakerCooldown configure the per-optimizer
-	// circuit breaker (defaults DefaultBreakerThreshold /
-	// DefaultBreakerCooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// EngineGrace overrides the engine's post-cancellation grace window
 	// (default engine.DefaultGrace).
 	EngineGrace time.Duration
@@ -212,9 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 250 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.MaxBatchJobs <= 0 {
 		c.MaxBatchJobs = DefaultMaxBatchJobs
@@ -274,7 +262,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		eng:        engine.New(engOpts...),
-		breaker:    NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker:    NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown),
 		chaosRules: rules,
 		slots:      make(chan struct{}, cfg.MaxConcurrent),
 		flights:    newFlightGroup(),
@@ -315,7 +303,7 @@ func (s *Server) Handler() http.Handler {
 		defer func() {
 			if p := recover(); p != nil {
 				s.cfg.Metrics.Counter(MetricPanics).Inc()
-				writeErrorDocID(w, requestID(r), http.StatusInternalServerError, "panic",
+				WriteErrorDoc(w, requestID(r), http.StatusInternalServerError, "panic",
 					fmt.Sprintf("internal error: %v", p), 0)
 			}
 		}()
@@ -458,7 +446,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "method_not_allowed")
-		writeErrorDocID(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
+		WriteErrorDoc(w, rid, http.StatusMethodNotAllowed, "method_not_allowed",
 			"use POST with a JSON request body", 0)
 		return
 	}
@@ -469,7 +457,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if rej != nil {
 		m.Counter(MetricRejected).Inc()
 		span.SetField("kind", rej.kind)
-		writeErrorDocID(w, rid, rej.status, rej.kind, rej.msg, s.cfg.RetryAfter)
+		WriteErrorDoc(w, rid, rej.status, rej.kind, rej.msg, s.cfg.RetryAfter)
 		return
 	}
 	accepted := time.Now()
@@ -481,12 +469,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		m.Counter(MetricDegraded).Inc()
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	if err != nil {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "too_large")
-		writeErrorDocID(w, rid, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), 0)
+		WriteErrorDoc(w, rid, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes), 0)
 		return
 	}
 	// The byte-identity index first: a body byte-identical to one that
@@ -506,7 +494,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			m.Counter(MetricBadRequest).Inc()
 			span.SetField("kind", "bad_request")
-			writeErrorDocID(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
+			WriteErrorDoc(w, rid, http.StatusBadRequest, "bad_request", err.Error(), 0)
 			return
 		}
 		req.rawKey, req.wholeBody = rawKey, true
@@ -522,14 +510,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		// The budget covers queueing, deduplication and optimization, so a
 		// request cannot occupy the queue longer than its caller is willing
 		// to wait.
-		ctx, cancel := context.WithTimeout(r.Context(), req.budget(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
+		ctx, cancel := context.WithTimeout(r.Context(), req.ResolveBudget(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 		defer cancel()
 		out = s.serveAdmitted(ctx, req, rung, accepted)
 	}
 	span.SetField("model", model)
 	if !out.ok {
 		span.SetField("kind", out.kind)
-		writeErrorDocID(w, rid, out.status, out.kind, out.msg, out.retryAfter)
+		WriteErrorDoc(w, rid, out.status, out.kind, out.msg, out.retryAfter)
 		return
 	}
 	if out.cached {
@@ -537,7 +525,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		span.SetField("cache_path", out.cachePath)
 	}
 	span.SetField("status", http.StatusOK)
-	writeJSON(w, http.StatusOK, out.result(model))
+	WriteJSON(w, http.StatusOK, out.result(model))
 	// The response bytes are written: the pooled report and remap view
 	// (if any) can go back to their pools.
 	out.close()
@@ -614,14 +602,14 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 	// requester's labels through the inverse canonical permutation.
 	var key string
 	if s.cacheActive() {
-		key = cacheKey(req)
-		out.fp, _, _ = req.canonicalID()
+		key = req.Key()
+		out.fp, _, _ = req.CanonicalID()
 	}
 	for key != "" {
 		if rep, storedRaw, ok := s.cache.get(key); ok {
 			// A hit from an entry some other source stored exists only
 			// because of canonical keying.
-			_, perm, _ := req.canonicalID()
+			_, perm, _ := req.CanonicalID()
 			if s.serveHit(&out, key, rep, perm, cachePathCanonical, storedRaw != req.rawKey, accepted) {
 				return out
 			}
@@ -680,7 +668,7 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 		// into canonical label space so any relabeling of this instance
 		// can be served from it, and detached so it survives the pooled
 		// report's release.
-		if fp, perm, cerr := req.canonicalID(); cerr == nil {
+		if fp, perm, cerr := req.CanonicalID(); cerr == nil {
 			canon := detachRemapped(rep, perm)
 			// A whole /optimize body also indexes the entry by its digest,
 			// so byte-identical replays skip decode (serveBodyHit).
@@ -1048,7 +1036,11 @@ var encPool = sync.Pool{New: func() any {
 // pool: a one-off giant batch response must not pin its buffer forever.
 const maxPooledEncBytes = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the response document: two-space indented
+// JSON with Content-Type and Content-Length, encoded through a pooled
+// buffer. The worker and the cluster coordinator write every document
+// through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	e := encPool.Get().(*encState)
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
@@ -1068,11 +1060,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeErrorDoc(w http.ResponseWriter, status int, kind, msg string, retryAfter time.Duration) {
-	writeErrorDocID(w, "", status, kind, msg, retryAfter)
-}
-
-func writeErrorDocID(w http.ResponseWriter, rid string, status int, kind, msg string, retryAfter time.Duration) {
+// WriteErrorDoc writes the structured error document of kind and msg,
+// echoing the request ID rid. A positive retryAfter sets both the
+// document's retry hint and the Retry-After header. The cluster
+// coordinator writes its own failures through it too, so clients
+// handle coordinator and worker failures identically.
+func WriteErrorDoc(w http.ResponseWriter, rid string, status int, kind, msg string, retryAfter time.Duration) {
 	var doc ErrorDoc
 	doc.Error.Kind = kind
 	doc.Error.Message = msg
@@ -1083,7 +1076,7 @@ func writeErrorDocID(w http.ResponseWriter, rid string, status int, kind, msg st
 		// promises an earlier retry than the document.
 		w.Header().Set("Retry-After", strconv.FormatInt(int64((retryAfter+time.Second-1)/time.Second), 10))
 	}
-	writeJSON(w, status, &doc)
+	WriteJSON(w, status, &doc)
 }
 
 // HealthDoc is the /healthz payload: liveness plus the load gauges.
@@ -1099,7 +1092,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	inflight, draining := s.inflight, s.draining
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, &HealthDoc{
+	WriteJSON(w, http.StatusOK, &HealthDoc{
 		Status:   "ok",
 		UptimeMS: float64(time.Since(s.started).Microseconds()) / 1000,
 		InFlight: inflight,
@@ -1139,5 +1132,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !doc.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, doc)
+	WriteJSON(w, status, doc)
 }

@@ -101,10 +101,10 @@ func TestDecodeRequestValidation(t *testing.T) {
 	if req.model() != "qon" {
 		t.Fatalf("model = %q, want qon", req.model())
 	}
-	if got := req.budget(2*time.Second, 30*time.Second); got != 500*time.Millisecond {
+	if got := req.ResolveBudget(2*time.Second, 30*time.Second); got != 500*time.Millisecond {
 		t.Fatalf("budget = %v, want 500ms", got)
 	}
-	if got := req.budget(2*time.Second, 100*time.Millisecond); got != 100*time.Millisecond {
+	if got := req.ResolveBudget(2*time.Second, 100*time.Millisecond); got != 100*time.Millisecond {
 		t.Fatalf("budget must clamp to max, got %v", got)
 	}
 	in, err := req.qonInstance()
