@@ -246,11 +246,6 @@ var (
 	WithGrace = engine.WithGrace
 	// WithoutEarlyExit keeps all runs going after an exact result.
 	WithoutEarlyExit = engine.WithoutEarlyExit
-	// WithRetries bounds how many times a failing run is retried with a
-	// fresh seed before the engine gives up on it.
-	WithRetries = engine.WithRetries
-	// WithQuarantineAfter sets how many failures bench an optimizer.
-	WithQuarantineAfter = engine.WithQuarantineAfter
 	// QOHSearchers returns the engine-ready QO_H plan-search ensemble.
 	QOHSearchers = engine.QOHSearchers
 )
@@ -298,8 +293,8 @@ var (
 var (
 	// ErrUncertified marks a result that failed the certification audit.
 	ErrUncertified = engine.ErrUncertified
-	// ErrQuarantined marks an optimizer benched after repeated failures;
-	// its prior contributions are discarded from the merge.
+	// ErrQuarantined marks a run benched for its own failure or for
+	// abandonment; it never reaches the merge.
 	ErrQuarantined = engine.ErrQuarantined
 	// ErrInvalidPlan marks a plan that is not a valid permutation (or,
 	// for QO_H, has malformed pipeline breaks).

@@ -1,7 +1,7 @@
 // Package chaos provides injectable fault wrappers around any
 // opt.Optimizer, so the ensemble engine's certification gate,
-// quarantine circuit-breaker and abandonment paths can be exercised
-// end-to-end — in tests, and from the command line via qopt -chaos.
+// quarantine and abandonment paths can be exercised end-to-end — in
+// tests, and from the command line via qopt -chaos.
 //
 // Every wrapper is deterministic given its seed: the same seed and call
 // sequence produce the same panics, the same corrupted costs and the
@@ -14,13 +14,11 @@
 //     (the adversarial case: a lie that would win the merge);
 //   - FaultInvalidPlan — it returns a sequence that is not a
 //     permutation;
-//   - FaultError — it fails with a spurious transient error;
+//   - FaultError — it fails with a spurious error;
 //   - FaultLeak — it answers correctly but leaks a slow goroutine per
 //     call.
 //
-// WithFailures(k) limits a fault to the first k calls, after which the
-// wrapper behaves honestly — the shape of a transient failure, used to
-// exercise the engine's retry-with-reseed path.
+// Every fault fires on every call.
 package chaos
 
 import (
@@ -75,12 +73,7 @@ type Option func(*Injector)
 
 // WithSeed seeds the injector's deterministic behavior (panic values
 // embed it, so a crash identifies its injection).
-func WithSeed(seed int64) Option { return func(j *Injector) { j.seed.Store(seed) } }
-
-// WithFailures makes the fault fire only on the first k Optimize calls;
-// later calls pass through to the wrapped optimizer. k ≤ 0 (the
-// default) means the fault fires on every call.
-func WithFailures(k int) Option { return func(j *Injector) { j.failures = k } }
+func WithSeed(seed int64) Option { return func(j *Injector) { j.seed = seed } }
 
 // WithStall sets how long FaultStall blocks (default DefaultStall).
 func WithStall(d time.Duration) Option { return func(j *Injector) { j.stall = d } }
@@ -96,11 +89,10 @@ func WithLeakHold(d time.Duration) Option { return func(j *Injector) { j.leakHol
 type Injector struct {
 	inner    opt.Optimizer
 	fault    Fault
-	failures int
+	seed     int64
 	stall    time.Duration
 	leakHold time.Duration
 
-	seed  atomic.Int64
 	calls atomic.Int64
 }
 
@@ -124,34 +116,20 @@ func (j *Injector) Name() string { return j.inner.Name() }
 // Fault reports the injected failure mode.
 func (j *Injector) Fault() Fault { return j.fault }
 
-// Reseed implements opt.Reseedable: the engine calls it between retry
-// attempts. The new seed is folded into subsequent deterministic fault
-// values and forwarded to the wrapped optimizer when it is reseedable
-// itself.
-func (j *Injector) Reseed(seed int64) {
-	j.seed.Store(seed)
-	if r, ok := j.inner.(opt.Reseedable); ok {
-		r.Reseed(seed)
-	}
-}
-
 // Optimize injects the configured fault, then (where the fault permits)
 // delegates to the wrapped optimizer.
 func (j *Injector) Optimize(ctx context.Context, in *qon.Instance) (*opt.Result, error) {
 	call := j.calls.Add(1)
-	if j.failures > 0 && call > int64(j.failures) {
-		return j.inner.Optimize(ctx, in)
-	}
 	switch j.fault {
 	case FaultPanic:
-		panic(fmt.Sprintf("chaos: injected panic in %s (seed %d, call %d)", j.Name(), j.seed.Load(), call))
+		panic(fmt.Sprintf("chaos: injected panic in %s (seed %d, call %d)", j.Name(), j.seed, call))
 	case FaultStall:
 		// Deliberately ignore ctx: this is the uncooperative component
 		// the engine must abandon rather than wait for.
 		time.Sleep(j.stall)
 		return j.inner.Optimize(ctx, in)
 	case FaultError:
-		return nil, fmt.Errorf("chaos: injected spurious error from %s (seed %d, call %d)", j.Name(), j.seed.Load(), call)
+		return nil, fmt.Errorf("chaos: injected spurious error from %s (seed %d, call %d)", j.Name(), j.seed, call)
 	case FaultWrongCost:
 		r, err := j.inner.Optimize(ctx, in)
 		if err != nil || r == nil {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -107,17 +108,15 @@ func TestInvalidPlanFaultBreaksBijection(t *testing.T) {
 	}
 }
 
-func TestErrorFaultAndFailureBudget(t *testing.T) {
+func TestErrorFault(t *testing.T) {
 	in := testInstance(t)
-	j := Wrap(opt.NewGreedy(opt.GreedyMinSize), FaultError, WithFailures(2))
-	for call := 1; call <= 2; call++ {
-		if _, err := j.Optimize(context.Background(), in); err == nil {
-			t.Fatalf("call %d: expected injected error", call)
+	j := Wrap(opt.NewGreedy(opt.GreedyMinSize), FaultError, WithSeed(4))
+	for call := 1; call <= 3; call++ {
+		r, err := j.Optimize(context.Background(), in)
+		want := fmt.Sprintf("chaos: injected spurious error from greedy-min-size (seed 4, call %d)", call)
+		if r != nil || err == nil || err.Error() != want {
+			t.Fatalf("call %d: got (%v, %v), want the injected error %q", call, r, err, want)
 		}
-	}
-	r, err := j.Optimize(context.Background(), in)
-	if err != nil || r == nil {
-		t.Fatalf("call 3 should pass through after the failure budget: %v", err)
 	}
 }
 
@@ -180,14 +179,5 @@ func TestApplyWrapsFirstMatchOnly(t *testing.T) {
 	}
 	if _, ok := wrapped[1].(*Injector); ok {
 		t.Fatal("unmatched optimizer was wrapped")
-	}
-}
-
-func TestReseedForwardsToInner(t *testing.T) {
-	j := Wrap(opt.NewIterativeImprovement(opt.WithSeed(1)), FaultError, WithFailures(1), WithSeed(3))
-	var _ opt.Reseedable = j
-	j.Reseed(11)
-	if got := j.seed.Load(); got != 11 {
-		t.Fatalf("seed = %d after Reseed(11)", got)
 	}
 }

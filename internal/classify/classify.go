@@ -378,7 +378,7 @@ func Unrouted() Decision {
 //
 //   - greedy: greedy-min-size, greedy-min-cost, kbz — polynomial
 //     insurance that runs whenever the tier is routed;
-//   - local: annealing, random-sampler, iterative-improvement — left
+//   - local: annealing, iterative-improvement — left
 //     out (reason "exact_in_reach") while the exact member is routed,
 //     within serialDPMaxN and its circuit closed;
 //   - exact: one member chosen by n (see exactMember), reported
@@ -404,7 +404,6 @@ func Ensemble(d Decision, n int, seed int64, allow func(name string) bool) ([]op
 	b.take(TierGreedy, greedy()...)
 	local := []opt.Optimizer{
 		opt.NewAnnealing(opt.WithSeed(seed)),
-		opt.NewRandomSampler(opt.WithSeed(seed + 1)),
 		opt.NewIterativeImprovement(opt.WithSeed(seed), opt.WithRestarts(5)),
 	}
 	if inReach && d.has(TierLocal) {

@@ -143,7 +143,7 @@ func TestEnsembleSkipRecords(t *testing.T) {
 	// for as a routing skip: the local tier and the single exact member
 	// n selects. Exhaustive, the no-cross DP and the parallel DP are
 	// not serving members at n=12, so they appear nowhere.
-	for _, name := range []string{"annealing", "random-sampler", "iterative-improvement", "subset-dp"} {
+	for _, name := range []string{"annealing", "iterative-improvement", "subset-dp"} {
 		if reasons[name] != engine.SkipRouting {
 			t.Errorf("%s skip reason %q, want %q (skips %v)", name, reasons[name], engine.SkipRouting, skips)
 		}
@@ -176,7 +176,7 @@ func TestEnsembleSkipRecords(t *testing.T) {
 // circuit closed.
 func TestEnsembleLocalTierSkippedWhenExactInReach(t *testing.T) {
 	greedy := []string{"greedy-min-size", "greedy-min-cost", "kbz"}
-	local := []string{"annealing", "random-sampler", "iterative-improvement"}
+	local := []string{"annealing", "iterative-improvement"}
 	cat := func(parts ...[]string) []string {
 		var out []string
 		for _, p := range parts {
@@ -197,9 +197,9 @@ func TestEnsembleLocalTierSkippedWhenExactInReach(t *testing.T) {
 		wantSkips map[string]string
 	}{
 		{"full n=4", Unrouted(), 4, nil, cat(greedy, []string{"subset-dp"}),
-			map[string]string{"annealing": engine.SkipExactInReach, "random-sampler": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
+			map[string]string{"annealing": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
 		{"full n=16", Unrouted(), serialDPMaxN, nil, cat(greedy, []string{"subset-dp"}),
-			map[string]string{"annealing": engine.SkipExactInReach, "random-sampler": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
+			map[string]string{"annealing": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
 		{"full n=17", Unrouted(), serialDPMaxN + 1, nil, cat(greedy, local, []string{"subset-dp-parallel"}), map[string]string{}},
 		{"full n=22", Unrouted(), 22, nil, cat(greedy, local, []string{"subset-dp-parallel"}), map[string]string{}},
 		{"full n=23", Unrouted(), 23, nil, cat(greedy, local),
@@ -209,11 +209,11 @@ func TestEnsembleLocalTierSkippedWhenExactInReach(t *testing.T) {
 		{"exact circuit open n=12", Unrouted(), 12, openFor("subset-dp"), cat(greedy, local),
 			map[string]string{"subset-dp": engine.SkipBreaker}},
 		{"local circuit open n=12", Unrouted(), 12, openFor("annealing"), cat(greedy, []string{"subset-dp"}),
-			map[string]string{"annealing": engine.SkipExactInReach, "random-sampler": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
+			map[string]string{"annealing": engine.SkipExactInReach, "iterative-improvement": engine.SkipExactInReach}},
 		{"adversarial n=12", adversarial, 12, nil, cat(greedy, []string{"subset-dp"}),
-			map[string]string{"annealing": engine.SkipRouting, "random-sampler": engine.SkipRouting, "iterative-improvement": engine.SkipRouting}},
+			map[string]string{"annealing": engine.SkipRouting, "iterative-improvement": engine.SkipRouting}},
 		{"every circuit open", Unrouted(), 12, func(string) bool { return false }, greedy,
-			map[string]string{"annealing": engine.SkipBreaker, "random-sampler": engine.SkipBreaker, "iterative-improvement": engine.SkipBreaker, "subset-dp": engine.SkipBreaker}},
+			map[string]string{"annealing": engine.SkipBreaker, "iterative-improvement": engine.SkipBreaker, "subset-dp": engine.SkipBreaker}},
 	}
 	for _, tc := range cases {
 		optimizers, skips := Ensemble(tc.d, tc.n, 3, tc.allow)

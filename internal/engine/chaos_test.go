@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"approxqo/internal/certify"
 	"approxqo/internal/chaos"
 	"approxqo/internal/opt"
+	"approxqo/internal/qon"
 )
 
 // The acceptance matrix: under every injected fault type, with one
@@ -127,51 +129,72 @@ func TestRunAllAdversarialFails(t *testing.T) {
 	}
 }
 
-// A transient failure (one injected error, then honesty) must be healed
-// by retry-with-reseed, without quarantine.
-func TestRunRetriesTransientFailure(t *testing.T) {
-	in := randomInstance(6, 0.7, 13)
-	flaky := chaos.Wrap(opt.NewGreedy(opt.GreedyMinSize), chaos.FaultError, chaos.WithFailures(1))
-	report, err := New().Run(context.Background(), in, flaky)
-	if err != nil {
-		t.Fatalf("transient failure not healed: %v", err)
-	}
-	rec := report.Runs[0]
-	if rec.Attempts != 2 || rec.Failures != 1 {
-		t.Fatalf("attempts=%d failures=%d, want 2 and 1", rec.Attempts, rec.Failures)
-	}
-	if rec.Quarantined || !rec.Certified {
-		t.Fatalf("healed run misrecorded: %+v", rec)
-	}
-	if report.Best == nil || !report.Best.Certified {
-		t.Fatal("healed run produced no certified best")
+// countingOptimizer counts the Optimize calls reaching the optimizer
+// it wraps.
+type countingOptimizer struct {
+	opt.Optimizer
+	calls atomic.Int64
+}
+
+func (c *countingOptimizer) Optimize(ctx context.Context, in *qon.Instance) (*opt.Result, error) {
+	c.calls.Add(1)
+	return c.Optimizer.Optimize(ctx, in)
+}
+
+// Every optimizer is deterministic for its seed, so the engine runs
+// each one once: a failing optimizer is called exactly once and
+// quarantined on that failure.
+func TestRunCallsFailingOptimizerOnce(t *testing.T) {
+	for _, fault := range []chaos.Fault{chaos.FaultError, chaos.FaultPanic, chaos.FaultWrongCost} {
+		in := randomInstance(6, 0.7, 13)
+		faulty := &countingOptimizer{Optimizer: chaos.Wrap(opt.NewGreedy(opt.GreedyMinSize), fault)}
+		report, err := New().Run(context.Background(), in, faulty)
+		if !errors.Is(err, ErrAllFailed) {
+			t.Fatalf("%s: err = %v, want ErrAllFailed", fault, err)
+		}
+		if got := faulty.calls.Load(); got != 1 {
+			t.Errorf("%s: optimizer called %d times, want 1", fault, got)
+		}
+		rec := report.Runs[0]
+		if !rec.Quarantined || !strings.HasPrefix(rec.Err, ErrQuarantined.Error()+": ") {
+			t.Errorf("%s: run not quarantined on its failure: quarantined=%v err=%q", fault, rec.Quarantined, rec.Err)
+		}
 	}
 }
 
-// With retries disabled, the failure budget is one attempt.
-func TestRunWithRetriesDisabled(t *testing.T) {
+// blockingOptimizer waits for cancellation and reports it — a
+// cooperative optimizer with nothing to salvage.
+type blockingOptimizer struct{}
+
+func (blockingOptimizer) Name() string { return "blocking-stub" }
+
+func (blockingOptimizer) Optimize(ctx context.Context, in *qon.Instance) (*opt.Result, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// An error returned because the early exit cancelled the run is the
+// cancellation's doing, not the optimizer's: it is recorded, but never
+// quarantined, so it cannot trip a serving breaker.
+func TestRunDoesNotQuarantineEarlyExitCancellation(t *testing.T) {
 	in := randomInstance(6, 0.7, 14)
-	flaky := chaos.Wrap(opt.NewGreedy(opt.GreedyMinSize), chaos.FaultError, chaos.WithFailures(1))
-	report, err := New(WithRetries(0)).Run(context.Background(), in, flaky)
-	if err == nil {
-		t.Fatal("zero retries must not heal a transient failure")
+	e := New()
+	report, err := e.Run(context.Background(), in, opt.NewDP(), blockingOptimizer{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if report.Runs[0].Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", report.Runs[0].Attempts)
+	if report.Best == nil || report.Best.Winner != "subset-dp" || !report.Best.Exact {
+		t.Fatalf("exact DP should win: %+v", report.Best)
 	}
-}
-
-// A lowered circuit-breaker threshold quarantines on the first failure.
-func TestRunQuarantineThreshold(t *testing.T) {
-	in := randomInstance(6, 0.7, 15)
-	flaky := chaos.Wrap(opt.NewGreedy(opt.GreedyMinSize), chaos.FaultError, chaos.WithFailures(1))
-	report, err := New(WithQuarantineAfter(1)).Run(context.Background(), in, flaky)
-	if !errors.Is(err, ErrAllFailed) {
-		t.Fatalf("err = %v, want ErrAllFailed", err)
+	rec := report.Runs[1]
+	if !strings.Contains(rec.Err, context.Canceled.Error()) {
+		t.Fatalf("cancelled run error = %q, want the cancellation", rec.Err)
 	}
-	rec := report.Runs[0]
-	if !rec.Quarantined || rec.Attempts != 1 {
-		t.Fatalf("threshold 1 should bench on first failure: %+v", rec)
+	if rec.Quarantined || len(report.Quarantined) != 0 {
+		t.Fatalf("early-exit cancellation quarantined: %+v (report %v)", rec, report.Quarantined)
+	}
+	if h := e.Health(); h.Quarantined != 0 || len(h.ErrKinds) != 1 || h.ErrKinds[0] != "error" {
+		t.Fatalf("health after early exit: %+v", h)
 	}
 }
 
@@ -182,19 +205,16 @@ func TestRunRecordsPanicValueAndStack(t *testing.T) {
 	report, _ := New().Run(context.Background(), in,
 		chaos.Wrap(opt.NewGreedy(opt.GreedyMinSize), chaos.FaultPanic, chaos.WithSeed(9)))
 	rec := report.Runs[0]
-	if !rec.Panicked {
+	if !rec.Panicked || !rec.Quarantined {
 		t.Fatalf("panic not recorded: %+v", rec)
 	}
-	// Retries reseed the injector, so the recorded value is the final
-	// attempt's deterministic panic.
-	if !strings.Contains(rec.PanicValue, "injected panic") || !strings.Contains(rec.PanicValue, "call 3") {
-		t.Fatalf("panic value lost: %q", rec.PanicValue)
+	if want := "chaos: injected panic in greedy-min-size (seed 9, call 1)"; rec.PanicValue != want {
+		t.Fatalf("panic value = %q, want %q", rec.PanicValue, want)
 	}
-	if rec.Attempts != 3 || rec.Failures != 3 {
-		t.Fatalf("attempts=%d failures=%d, want 3 and 3", rec.Attempts, rec.Failures)
-	}
-	if !strings.Contains(rec.PanicStack, "chaos") || !strings.Contains(rec.PanicStack, ".go:") {
-		t.Fatalf("stack summary does not locate the crash: %q", rec.PanicStack)
+	// The summary starts at the panicking frame, below the recover
+	// machinery and the runtime's panic frames.
+	if !strings.HasPrefix(rec.PanicStack, "approxqo/internal/chaos.(*Injector).Optimize (chaos.go:") {
+		t.Fatalf("stack summary does not start at the crash site: %q", rec.PanicStack)
 	}
 	blob, err := json.Marshal(report)
 	if err != nil {

@@ -13,11 +13,12 @@
 //     independent certify package (permutation bijection, exact-
 //     arithmetic cost recomputation, exactness cross-check) before it
 //     may enter the merge,
-//   - a quarantine circuit-breaker — an optimizer that panics or fails
-//     certification QuarantineAfter times in a run is benched, its
-//     contributions discarded, and the benching recorded in the Report,
-//   - bounded retry-with-reseed for transient failures (spurious
-//     errors, one-off bad results from randomized searches),
+//   - one attempt per optimizer — every optimizer is deterministic for
+//     its seed, so a rerun would only repeat a failure,
+//   - quarantine — a run that panics, fails certification or errors
+//     while its own context is still live is benched and recorded in
+//     the Report (a failure after the context ended may be the
+//     cancellation's doing and is not),
 //   - a grace period after cancellation, after which unresponsive runs
 //     are abandoned and quarantined (their goroutines drain into a
 //     buffered channel; their counters are still snapshotted safely),
@@ -58,16 +59,6 @@ type Stats = stats.Stats
 // abandoning them.
 const DefaultGrace = 250 * time.Millisecond
 
-// DefaultRetries is how many extra attempts a run gets after a
-// transient failure (error, panic, failed certification) before the
-// engine gives up on it.
-const DefaultRetries = 2
-
-// DefaultQuarantineAfter is how many failures within one run bench an
-// optimizer (see WithQuarantineAfter). With DefaultRetries it means an
-// optimizer that fails every attempt is quarantined.
-const DefaultQuarantineAfter = 3
-
 // The engine's structured error taxonomy. Errors returned by Run and
 // RunQOH, and the per-run errors folded into the all-failed error, wrap
 // these sentinels so callers can classify failures with errors.Is.
@@ -82,8 +73,9 @@ var (
 	// it always wraps the certify package's classification
 	// (ErrInvalidPlan, ErrCostMismatch, ErrBoundViolated).
 	ErrUncertified = errors.New("engine: result failed certification")
-	// ErrQuarantined marks an optimizer benched by the circuit-breaker
-	// after repeated failures; its results are discarded from the merge.
+	// ErrQuarantined marks a run benched for its own failure (panic,
+	// failed certification, error under a live context) or for
+	// abandonment; it never reaches the merge.
 	ErrQuarantined = errors.New("engine: optimizer quarantined")
 	// ErrAllFailed is returned when no optimizer produced a certified
 	// result.
@@ -98,17 +90,15 @@ var ErrInvalidPlan = certify.ErrInvalidPlan
 // Metric names published into a WithMetrics registry. The counters and
 // histograms obey two invariants the soak tests assert: MetricRuns
 // equals the observation count of MetricRunWallUS (every run — finished
-// or abandoned — is measured exactly once), and MetricAttempts equals
-// MetricCertifyPass + MetricCertifyFail + MetricPanics + MetricErrors
-// (every attempt ends in exactly one of those outcomes).
+// or abandoned — is measured exactly once), and MetricRuns equals
+// MetricCertifyPass + MetricCertifyFail + MetricPanics + MetricErrors +
+// MetricAbandoned (every run ends in exactly one of those outcomes).
 const (
 	MetricRuns        = "engine.runs"           // counter: runs accounted (incl. abandoned)
-	MetricAttempts    = "engine.attempts"       // counter: optimization attempts started
-	MetricRetries     = "engine.retries"        // counter: attempts beyond each run's first
 	MetricCertifyPass = "engine.certify.pass"   // counter: results the audit accepted
 	MetricCertifyFail = "engine.certify.fail"   // counter: results the audit rejected
-	MetricPanics      = "engine.panics"         // counter: attempts that panicked
-	MetricErrors      = "engine.errors"         // counter: attempts that returned an error
+	MetricPanics      = "engine.panics"         // counter: runs that panicked
+	MetricErrors      = "engine.errors"         // counter: runs that returned an error
 	MetricQuarantined = "engine.quarantined"    // counter: optimizers benched
 	MetricAbandoned   = "engine.abandoned"      // counter: runs abandoned past the grace window
 	MetricTimeouts    = "engine.timeouts"       // counter: runs whose per-run deadline expired
@@ -134,17 +124,11 @@ func MetricOptimizerWallUS(name string) string { return "opt." + name + ".wall_u
 func MetricOptimizerCostEvals(name string) string { return "opt." + name + ".cost_evals" }
 
 // Engine supervises ensemble runs. The zero value is usable: no
-// per-run deadline, DefaultGrace, early exit enabled, DefaultRetries,
-// DefaultQuarantineAfter.
+// per-run deadline, DefaultGrace, early exit enabled.
 type Engine struct {
 	runTimeout time.Duration
 	grace      time.Duration
 	noEarly    bool
-
-	retries       int
-	retriesSet    bool
-	quarantine    int
-	quarantineSet bool
 
 	tracer  *trace.Tracer
 	metrics *trace.Registry
@@ -170,7 +154,7 @@ type Health struct {
 	Quarantined int `json:"quarantined"`
 	// ErrKinds are the distinct failure kinds of the most recent run's
 	// failed optimizers, in record order: "panic", "abandoned",
-	// "uncertified", "quarantined", "timeout" or "error".
+	// "uncertified", "timeout" or "error".
 	ErrKinds []string `json:"err_kinds,omitempty"`
 }
 
@@ -194,8 +178,6 @@ func errKind(rec *RunRecord) string {
 		return "panic"
 	case rec.CertError != "":
 		return "uncertified"
-	case rec.Quarantined:
-		return "quarantined"
 	case rec.TimedOut && !rec.Certified:
 		return "timeout"
 	default:
@@ -256,45 +238,16 @@ func WithGrace(d time.Duration) Option { return func(e *Engine) { e.grace = d } 
 // the answer.
 func WithoutEarlyExit() Option { return func(e *Engine) { e.noEarly = true } }
 
-// WithRetries sets how many extra attempts a run gets after a
-// transient failure — an error, a panic, or a result the certification
-// gate rejected (default DefaultRetries; 0 disables retries). Before
-// each retry the optimizer is re-seeded when it implements
-// opt.Reseedable, so randomized searches do not deterministically
-// repeat the failed attempt.
-func WithRetries(n int) Option {
-	return func(e *Engine) {
-		if n < 0 {
-			n = 0
-		}
-		e.retries, e.retriesSet = n, true
-	}
-}
-
-// WithQuarantineAfter sets the circuit-breaker threshold: an optimizer
-// accumulating n failures (panics, errors, certification rejections)
-// within one run is benched — no further retries, its results
-// discarded, Quarantined set in its RunRecord (default
-// DefaultQuarantineAfter; minimum 1).
-func WithQuarantineAfter(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.quarantine, e.quarantineSet = n, true
-	}
-}
-
 // WithTracer records hierarchical spans for every run into t: the
-// engine run, each optimizer (one trace track each), each attempt and
-// its optimize/certify phases, and the final merge. Abandoned runs
+// engine run, each optimizer (one trace track each) with its
+// optimize/certify phases, and the final merge. Abandoned runs
 // leave their spans unfinished, which the exporter marks explicitly —
 // a stalled optimizer is visible as an open span in the timeline. A
 // nil tracer disables tracing (the default).
 func WithTracer(t *trace.Tracer) Option { return func(e *Engine) { e.tracer = t } }
 
-// WithMetrics aggregates every run into r: attempt/retry/certification/
-// quarantine/abandonment counters, an engine.pending queue-depth gauge,
+// WithMetrics aggregates every run into r: outcome, quarantine and
+// abandonment counters, an engine.pending queue-depth gauge,
 // and per-optimizer wall-time and cost-evaluation histograms (see the
 // Metric* constants). The per-run stats sinks remain attached to each
 // instance; the supervisor alone absorbs their snapshots into the
@@ -310,20 +263,6 @@ func New(opts ...Option) *Engine {
 		apply(e)
 	}
 	return e
-}
-
-func (e *Engine) effRetries() int {
-	if e.retriesSet {
-		return e.retries
-	}
-	return DefaultRetries
-}
-
-func (e *Engine) effQuarantine() int {
-	if e.quarantineSet {
-		return e.quarantine
-	}
-	return DefaultQuarantineAfter
 }
 
 // jobResult is the model-independent slice of an optimizer's result
@@ -346,9 +285,6 @@ type job struct {
 	// original (uninstrumented) instance so the auditor's recomputation
 	// never pollutes the run's counters.
 	audit func(*jobResult) error
-	// reseed re-seeds the optimizer before a retry attempt; nil when
-	// the optimizer is not reseedable.
-	reseed func(seed int64)
 	// sink is snapshotted into the RunRecord even when run never
 	// returns (abandonment) — it is written with atomics only.
 	sink *stats.Stats
@@ -461,9 +397,6 @@ func (e *Engine) Run(ctx context.Context, in *qon.Instance, optimizers ...opt.Op
 			_, err := certify.QON(in, r.seq, r.cost, r.exact)
 			return err
 		}
-		if rs, ok := o.(opt.Reseedable); ok {
-			j.reseed = rs.Reseed
-		}
 	}
 	report, best := e.supervise(ctx, "qon", st)
 	report.Model = "qon"
@@ -486,39 +419,65 @@ type outcome struct {
 	timedOut    bool
 	certified   bool
 	quarantined bool
-	attempts    int
-	failures    int
-	certFails   int
-	panics      int
-	errs        int
 	certErr     string
 	dur         time.Duration
 }
 
-// runShielded executes one attempt with panic isolation, returning the
-// recovered panic value and a stack summary when the attempt crashed.
-func runShielded(ctx context.Context, j *job) (res *jobResult, err error, panicValue, panicStack string) {
+// runOnce executes j once under ctx — optimize, then the certification
+// gate — recording both phases under span. A panic in either phase is
+// recovered into the outcome with its value and a stack summary, never
+// a crashed process. A run that fails while ctx is still live is
+// quarantined: the failure is the optimizer's own, and rerunning a
+// deterministic optimizer would only repeat it. A failure after ctx
+// ended may be the cancellation's doing and is not.
+func runOnce(ctx context.Context, j *job, span *trace.Span) (oc outcome) {
+	phase := span.Child("optimize")
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, nil
-			panicValue = fmt.Sprintf("%v", p)
-			panicStack = stackSummary(debug.Stack())
+			phase.End()
+			oc = outcome{panicked: true, panicValue: fmt.Sprintf("%v", p), panicStack: stackSummary(debug.Stack())}
+			oc.err = fmt.Errorf("panic: %s", oc.panicValue)
+			span.SetField("outcome", "panic")
+		}
+		if oc.err != nil && ctx.Err() == nil {
+			oc.quarantined = true
+			oc.err = fmt.Errorf("%w: %v", ErrQuarantined, oc.err)
 		}
 	}()
-	res, err = j.run(ctx)
-	if err == nil && res == nil {
-		err = errors.New("optimizer returned no result")
+	res, err := j.run(ctx)
+	phase.End()
+	if err != nil {
+		span.SetField("outcome", "error")
+		return outcome{err: err}
 	}
-	return res, err, "", ""
+	phase = span.Child("certify")
+	aerr := j.audit(res)
+	phase.SetField("pass", aerr == nil)
+	phase.End()
+	if aerr != nil {
+		span.SetField("outcome", "uncertified")
+		return outcome{certErr: aerr.Error(), err: fmt.Errorf("%w: %v", ErrUncertified, aerr)}
+	}
+	span.SetField("outcome", "certified")
+	return outcome{res: res, certified: true}
 }
 
-// stackSummary compresses a debug.Stack dump to the first few
-// non-runtime frames ("func (file:line)"), enough to locate a panic in
-// a report without shipping the whole trace.
+// stackSummary compresses a debug.Stack dump taken in a deferred
+// recover to the first few non-runtime frames below the panic call
+// ("func (file:line)"), enough to locate a panic in a report without
+// shipping the whole trace.
 func stackSummary(stack []byte) string {
 	lines := strings.Split(string(stack), "\n")
+	// Everything above the panic( frame is the recover machinery.
+	start := 0
+	for i, line := range lines {
+		if strings.HasPrefix(line, "panic(") {
+			start = i + 2
+			break
+		}
+	}
 	var frames []string
-	for i := 0; i+1 < len(lines) && len(frames) < 4; i++ {
+	for i := start; i+1 < len(lines) && len(frames) < 4; i++ {
 		fn := strings.TrimSpace(lines[i])
 		loc := strings.TrimSpace(lines[i+1])
 		// A frame is a "pkg.Func(...)" line followed by a tab-indented
@@ -526,9 +485,8 @@ func stackSummary(stack []byte) string {
 		if fn == "" || !strings.Contains(fn, "(") || !strings.Contains(loc, ".go:") {
 			continue
 		}
-		if strings.HasPrefix(fn, "runtime") || strings.HasPrefix(fn, "panic(") ||
-			strings.Contains(fn, "runShielded") || strings.Contains(fn, "debug.Stack") {
-			i++
+		i++
+		if strings.HasPrefix(fn, "runtime") {
 			continue
 		}
 		name := fn
@@ -543,35 +501,31 @@ func stackSummary(stack []byte) string {
 			file = file[cut+1:]
 		}
 		frames = append(frames, name+" ("+file+")")
-		i++
 	}
 	return strings.Join(frames, " <- ")
 }
 
-// arrival is one certified result, kept for the final merge so a
-// later quarantine can discard an optimizer's prior contributions.
+// arrival is one certified result, kept for the final merge.
 type arrival struct {
 	idx int
 	res *jobResult
 }
 
-// supervise runs the jobs concurrently — each with retry, certification
-// and quarantine handling — and collects them into records, merging the
-// cheapest certified result from a non-quarantined optimizer (ties go
-// to exactness, then ensemble position — see mergeBeats). When the engine carries a tracer it records the
-// span taxonomy documented in DESIGN.md (engine.run → optimizer:<name>
-// → attempt → optimize/certify → merge); when it carries a metrics
-// registry, the supervisor — and only the supervisor — absorbs each
-// run's stats snapshot and outcome tallies into it, so aggregate reads
-// never race the optimizer goroutines.
+// supervise runs each job once, concurrently — with certification and
+// quarantine handling (see runOnce) — and collects them into records,
+// merging the cheapest certified result (ties go to exactness, then
+// ensemble position — see mergeBeats). When the engine carries a
+// tracer it records the span taxonomy documented in DESIGN.md
+// (engine.run → optimizer:<name> → optimize/certify, then merge); when
+// it carries a metrics registry, the supervisor — and only the
+// supervisor — absorbs each run's stats snapshot and outcome into it,
+// so aggregate reads never race the optimizer goroutines.
 func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Report, *BestRecord) {
 	started := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	jobs := st.jobs
-	retries := e.effRetries()
-	benchAt := e.effQuarantine()
 
 	rootSpan := e.tracer.Start("engine.run")
 	rootSpan.SetField("model", model)
@@ -591,24 +545,9 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 	results := st.results
 	for i, j := range jobs {
 		i, j := i, j
-		optSpan := optSpans[i]
 		go func() {
-			oc := outcome{idx: i}
 			start := time.Now()
-			defer func() {
-				if p := recover(); p != nil {
-					// Backstop for panics outside the shielded attempt
-					// (supervision bug, audit panic): still a record,
-					// never a crashed process.
-					oc.res, oc.certified = nil, false
-					oc.panicked = true
-					oc.panicValue = fmt.Sprintf("%v", p)
-					oc.panicStack = stackSummary(debug.Stack())
-					oc.err = fmt.Errorf("panic: %s", oc.panicValue)
-				}
-				oc.dur = time.Since(start)
-				results <- oc
-			}()
+			var oc outcome
 			// The pprof label makes CPU/heap profile samples attributable
 			// per optimizer (`go tool pprof`, tags view).
 			trace.Do(runCtx, "optimizer", j.name, func(lctx context.Context) {
@@ -618,68 +557,13 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 					jctx, jcancel = context.WithTimeout(lctx, e.runTimeout)
 					defer jcancel()
 				}
-				for attempt := 0; ; attempt++ {
-					oc.attempts = attempt + 1
-					attemptSpan := optSpan.Child("attempt")
-					attemptSpan.SetField("attempt", attempt+1)
-					if attempt > 0 {
-						attemptSpan.SetField("retry", true)
-					}
-					optimizeSpan := attemptSpan.Child("optimize")
-					res, err, panicValue, panicStack := runShielded(jctx, j)
-					optimizeSpan.End()
-					switch {
-					case panicValue != "":
-						oc.failures++
-						oc.panics++
-						oc.panicked = true
-						oc.panicValue, oc.panicStack = panicValue, panicStack
-						oc.err = fmt.Errorf("panic: %s", panicValue)
-						attemptSpan.SetField("outcome", "panic")
-					case err != nil:
-						oc.failures++
-						oc.errs++
-						oc.panicked = false
-						oc.err = err
-						attemptSpan.SetField("outcome", "error")
-					default:
-						certifySpan := attemptSpan.Child("certify")
-						aerr := j.audit(res)
-						certifySpan.SetField("pass", aerr == nil)
-						certifySpan.End()
-						if aerr != nil {
-							oc.failures++
-							oc.certFails++
-							oc.panicked = false
-							oc.certErr = aerr.Error()
-							oc.err = fmt.Errorf("%w: %v", ErrUncertified, aerr)
-							attemptSpan.SetField("outcome", "uncertified")
-						} else {
-							oc.res, oc.err, oc.certified = res, nil, true
-							oc.panicked = false
-							attemptSpan.SetField("outcome", "certified")
-						}
-					}
-					attemptSpan.End()
-					if oc.certified {
-						break
-					}
-					if oc.failures >= benchAt {
-						oc.quarantined = true
-						oc.err = fmt.Errorf("%w after %d failures: %v", ErrQuarantined, oc.failures, oc.err)
-						break
-					}
-					if attempt >= retries || jctx.Err() != nil {
-						break
-					}
-					if j.reseed != nil {
-						j.reseed(int64(attempt + 1))
-					}
-				}
+				oc = runOnce(jctx, j, optSpans[i])
 				// A deadline that expired marks the run timed out even when an
 				// anytime algorithm still salvaged a best-so-far result.
 				oc.timedOut = errors.Is(jctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil
 			})
+			oc.idx, oc.dur = i, time.Since(start)
+			results <- oc
 		}()
 	}
 
@@ -702,7 +586,7 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 	// called only from this (supervising) goroutine — the registry is the
 	// single synchronized sink for aggregates, so a concurrent metrics
 	// reader can never observe a half-published run racing an optimizer.
-	publish := func(rec *RunRecord, oc *outcome) {
+	publish := func(rec *RunRecord) {
 		m := e.metrics
 		if m == nil {
 			return
@@ -719,19 +603,19 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 		if rec.Quarantined {
 			m.Counter(MetricQuarantined).Inc()
 		}
-		if rec.Abandoned {
+		switch {
+		case rec.Abandoned:
 			m.Counter(MetricAbandoned).Inc()
-			return // no outcome: the attempt tallies never arrived
-		}
-		m.Counter(MetricAttempts).Add(int64(oc.attempts))
-		m.Counter(MetricRetries).Add(int64(oc.attempts - 1))
-		if oc.certified {
+		case rec.Certified:
 			m.Counter(MetricCertifyPass).Inc()
+		case rec.Panicked:
+			m.Counter(MetricPanics).Inc()
+		case rec.CertError != "":
+			m.Counter(MetricCertifyFail).Inc()
+		default:
+			m.Counter(MetricErrors).Inc()
 		}
-		m.Counter(MetricCertifyFail).Add(int64(oc.certFails))
-		m.Counter(MetricPanics).Add(int64(oc.panics))
-		m.Counter(MetricErrors).Add(int64(oc.errs))
-		if oc.timedOut {
+		if rec.TimedOut {
 			m.Counter(MetricTimeouts).Inc()
 		}
 	}
@@ -751,16 +635,14 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 			rec.TimedOut = oc.timedOut
 			rec.Certified = oc.certified
 			rec.Quarantined = oc.quarantined
-			rec.Attempts = oc.attempts
-			rec.Failures = oc.failures
 			rec.CertError = oc.certErr
 			if oc.err != nil {
 				rec.Err = oc.err.Error()
 			}
 			optSpans[oc.idx].SetField("certified", oc.certified)
 			optSpans[oc.idx].End()
-			publish(rec, &oc)
-			if oc.res != nil && oc.certified && !oc.quarantined {
+			publish(rec)
+			if oc.certified {
 				cost := oc.res.cost
 				rec.Cost = &cost
 				rec.CostLog2 = cost.Log2()
@@ -797,24 +679,18 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 				rec.Quarantined = true
 				rec.Err = ErrQuarantined.Error() + ": no result within the cancellation grace period"
 				optSpans[i].SetField("abandoned", true)
-				publish(rec, nil)
+				publish(rec)
 			}
 			pending = 0
 		}
 	}
 
-	// Final merge over certified arrivals from non-quarantined
-	// optimizers. A quarantined job cannot have delivered a certified
-	// result under the current retry loop, but the filter keeps the
-	// discard-prior-contributions guarantee independent of that detail.
+	// Final merge over the certified arrivals.
 	mergeSpan := rootSpan.Child("merge")
 	mergeSpan.SetField("arrivals", len(arrivals))
 	var best *BestRecord
 	var win arrival
 	for _, a := range arrivals {
-		if records[a.idx].Quarantined {
-			continue
-		}
 		if best == nil || mergeBeats(a, win) {
 			best, win = e.bestRecord(jobs, a.idx, a.res), a
 		}

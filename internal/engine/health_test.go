@@ -40,7 +40,7 @@ func TestHealthAfterSuccessfulRun(t *testing.T) {
 }
 
 func TestHealthAfterFailedRun(t *testing.T) {
-	e := New(WithRetries(0), WithQuarantineAfter(1))
+	e := New()
 	bad := chaos.Wrap(opt.NewDP(), chaos.FaultPanic)
 	if _, err := e.Run(context.Background(), healthInstance(5), bad); err == nil {
 		t.Fatal("expected all-failed error")
@@ -68,7 +68,7 @@ func TestHealthAfterFailedRun(t *testing.T) {
 }
 
 func TestHealthMixedKinds(t *testing.T) {
-	e := New(WithRetries(0), WithQuarantineAfter(10))
+	e := New()
 	in := healthInstance(5)
 	_, err := e.Run(context.Background(), in,
 		chaos.Wrap(opt.NewDP(), chaos.FaultWrongCost),

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"approxqo/internal/chaos"
 	"approxqo/internal/opt"
 	"approxqo/internal/qon"
 	"approxqo/internal/trace"
@@ -22,9 +24,9 @@ func spanIndex(infos []trace.SpanInfo) (byID map[uint64]trace.SpanInfo, children
 	return byID, children
 }
 
-// The span taxonomy: engine.run → optimizer:<name> → attempt →
-// optimize/certify, plus a merge phase — and the report's span IDs
-// resolve into the trace.
+// The span taxonomy: engine.run → optimizer:<name> → optimize/certify,
+// plus a merge phase — and the report's span IDs resolve into the
+// trace.
 func TestTraceSpanTaxonomy(t *testing.T) {
 	in := randomInstance(7, 0.7, 11)
 	tr := trace.New()
@@ -67,57 +69,55 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		if !s.Ended {
 			t.Errorf("finished run %s left its span open", rec.Name)
 		}
-		attempts := children[s.ID]
-		if len(attempts) != rec.Attempts {
-			t.Errorf("run %s: %d attempt spans, record says %d attempts", rec.Name, len(attempts), rec.Attempts)
+		var phases []string
+		for _, phase := range children[s.ID] {
+			phases = append(phases, phase.Name)
+			if !phase.Ended {
+				t.Errorf("run %s left its %s span open", rec.Name, phase.Name)
+			}
 		}
-		for _, a := range attempts {
-			var sawOptimize, sawCertify bool
-			for _, phase := range children[a.ID] {
-				switch phase.Name {
-				case "optimize":
-					sawOptimize = true
-				case "certify":
-					sawCertify = true
-				}
-			}
-			if !sawOptimize || !sawCertify {
-				t.Errorf("run %s attempt missing phases (optimize=%v certify=%v)", rec.Name, sawOptimize, sawCertify)
-			}
-			if a.Fields["outcome"] != "certified" {
-				t.Errorf("run %s attempt outcome = %v", rec.Name, a.Fields["outcome"])
-			}
+		if !reflect.DeepEqual(phases, []string{"optimize", "certify"}) {
+			t.Errorf("run %s phases = %v, want [optimize certify]", rec.Name, phases)
+		}
+		if s.Fields["outcome"] != "certified" {
+			t.Errorf("run %s outcome = %v", rec.Name, s.Fields["outcome"])
 		}
 	}
 }
 
 // Metric invariants over a mixed ensemble: every run is measured
-// exactly once, and every attempt ends in exactly one outcome bucket.
+// exactly once, and every run ends in exactly one outcome bucket.
 func TestMetricsInvariants(t *testing.T) {
 	in := randomInstance(6, 0.7, 12)
 	reg := trace.NewRegistry()
 	_, err := New(WithMetrics(reg), WithoutEarlyExit()).Run(context.Background(), in,
-		opt.NewGreedy(opt.GreedyMinSize), panickingOptimizer{}, failingOptimizer{})
+		opt.NewGreedy(opt.GreedyMinSize), panickingOptimizer{}, failingOptimizer{},
+		chaos.Wrap(opt.NewGreedy(opt.GreedyMinCost), chaos.FaultWrongCost))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
 	runs := s.Counters[MetricRuns]
-	if runs != 3 {
-		t.Fatalf("runs counter = %d, want 3", runs)
+	if runs != 4 {
+		t.Fatalf("runs counter = %d, want 4", runs)
 	}
 	if got := s.Histograms[MetricRunWallUS].Count; got != runs {
 		t.Errorf("run wall histogram count %d != runs counter %d", got, runs)
 	}
-	attempts := s.Counters[MetricAttempts]
-	outcomes := s.Counters[MetricCertifyPass] + s.Counters[MetricCertifyFail] +
-		s.Counters[MetricPanics] + s.Counters[MetricErrors]
-	if attempts == 0 || attempts != outcomes {
-		t.Errorf("attempts %d != outcome buckets %d (%+v)", attempts, outcomes, s.Counters)
+	for _, name := range []string{MetricCertifyPass, MetricCertifyFail, MetricPanics, MetricErrors} {
+		if got := s.Counters[name]; got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
 	}
-	// panicking + failing stubs exhaust retries and hit the breaker.
-	if got := s.Counters[MetricQuarantined]; got != 2 {
-		t.Errorf("quarantined counter = %d, want 2", got)
+	outcomes := s.Counters[MetricCertifyPass] + s.Counters[MetricCertifyFail] +
+		s.Counters[MetricPanics] + s.Counters[MetricErrors] + s.Counters[MetricAbandoned]
+	if runs != outcomes {
+		t.Errorf("runs %d != outcome buckets %d (%+v)", runs, outcomes, s.Counters)
+	}
+	// The panicking, failing and lying members fail under a live
+	// context: each is quarantined.
+	if got := s.Counters[MetricQuarantined]; got != 3 {
+		t.Errorf("quarantined counter = %d, want 3", got)
 	}
 	if got := s.Gauges[MetricPending]; got != 0 {
 		t.Errorf("pending gauge = %d after run, want 0", got)
@@ -256,6 +256,9 @@ func TestAbandonStallingOptimizerWhileSamplingMetrics(t *testing.T) {
 	}
 	if got := s.Counters[MetricRuns]; got != 2 {
 		t.Errorf("runs counter = %d, want 2 (one finished, one abandoned)", got)
+	}
+	if got := s.Counters[MetricCertifyPass] + s.Counters[MetricAbandoned]; got != 2 {
+		t.Errorf("certify.pass + abandoned = %d, want 2: every run ends in one outcome bucket", got)
 	}
 	if got := s.Histograms[MetricRunWallUS].Count; got != 2 {
 		t.Errorf("wall histogram count = %d, want 2", got)

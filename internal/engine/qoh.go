@@ -41,7 +41,7 @@ func QOHSearchers(opts ...opt.Option) []QOHSearcher {
 
 // RunQOH is Run for the QO_H plan search: it supervises the searchers
 // concurrently over in with the same cancellation, deadline, panic
-// isolation, certification, quarantine, retry, grace and merge
+// isolation, certification, single-attempt quarantine, grace and merge
 // semantics, and the same per-run instrumentation (QO_H counts a cost
 // evaluation per candidate sequence costed end to end and a DP subset
 // per pipeline interval). The exhaustive searcher's winning plan is

@@ -45,8 +45,7 @@ type RunRecord struct {
 	// exported by engine.WithTracer; zero when tracing was off.
 	SpanID uint64 `json:"span_id,omitempty"`
 	// Stats are the cost-model counters observed for this run: cost
-	// evaluations, DP subsets expanded, local-search moves. With
-	// retries they accumulate across attempts.
+	// evaluations, DP subsets expanded, local-search moves.
 	Stats stats.Snapshot `json:"stats"`
 
 	Cost     *num.Num `json:"cost,omitempty"`
@@ -56,13 +55,8 @@ type RunRecord struct {
 	// Certified reports that the run's result passed the independent
 	// audit; only certified results participate in the merge.
 	Certified bool `json:"certified,omitempty"`
-	// Attempts counts optimization attempts (1 unless retried);
-	// Failures counts attempts that errored, panicked or failed
+	// CertError carries the auditor's rejection when the result failed
 	// certification.
-	Attempts int `json:"attempts,omitempty"`
-	Failures int `json:"failures,omitempty"`
-	// CertError carries the auditor's rejection for the last attempt
-	// that failed certification.
 	CertError string `json:"cert_error,omitempty"`
 
 	Err string `json:"error,omitempty"`
@@ -79,8 +73,9 @@ type RunRecord struct {
 	// grace period after cancellation; its goroutine was left behind and
 	// only its counters were salvaged.
 	Abandoned bool `json:"abandoned,omitempty"`
-	// Quarantined marks an optimizer benched by the circuit-breaker:
-	// repeated failures or abandonment. Its results are discarded.
+	// Quarantined marks a run benched for its own failure — a panic, a
+	// failed certification or an error while its context was still
+	// live — or for abandonment. It never reaches the merge.
 	Quarantined bool `json:"quarantined,omitempty"`
 }
 
@@ -122,8 +117,8 @@ type Report struct {
 	// Best is nil when every optimizer failed.
 	Best *BestRecord `json:"best,omitempty"`
 	Runs []RunRecord `json:"runs"`
-	// Quarantined lists the optimizers benched by the circuit-breaker
-	// during this run.
+	// Quarantined lists the optimizers benched during this run (see
+	// RunRecord.Quarantined).
 	Quarantined []string `json:"quarantined,omitempty"`
 	// Skipped lists optimizers deliberately excluded before the run
 	// (routing, load degradation, open breaker, size range) — attached
@@ -304,12 +299,6 @@ func (r *Report) WriteText(w io.Writer) {
 		switch {
 		case run.Abandoned:
 			note = "abandoned (quarantined)"
-		case run.Quarantined && run.Panicked:
-			note = "quarantined: panicked: " + run.PanicValue
-		case run.Quarantined && run.CertError != "":
-			note = "quarantined: uncertified: " + run.CertError
-		case run.Quarantined:
-			note = "quarantined: " + run.Err
 		case run.Panicked:
 			note = "panicked: " + run.PanicValue
 		case run.CertError != "":
@@ -318,9 +307,6 @@ func (r *Report) WriteText(w io.Writer) {
 			note = "timed out"
 		case run.Err != "":
 			note = run.Err
-		}
-		if note == "" && run.Attempts > 1 {
-			note = fmt.Sprintf("recovered after %d attempts", run.Attempts)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%v\t%.1fms\t%d\t%d\t%d\t%s\n",
 			run.Name, cost, run.Exact, run.WallMS,

@@ -48,16 +48,6 @@ type Optimizer interface {
 	Optimize(ctx context.Context, in *qon.Instance) (*Result, error)
 }
 
-// Reseedable is implemented by optimizers whose randomized state can be
-// re-seeded between runs. The ensemble engine re-seeds a reseedable
-// optimizer before each retry attempt, so a retry explores a different
-// part of the search space instead of deterministically repeating the
-// failure (see engine.WithRetries). Implementations must be safe for
-// concurrent use with Optimize.
-type Reseedable interface {
-	Reseed(seed int64)
-}
-
 // cancelled reports whether ctx is done, without blocking.
 func cancelled(ctx context.Context) bool {
 	select {

@@ -12,7 +12,7 @@ import (
 // optimizer that keeps getting quarantined (or keeps failing without a
 // certified result) is left out of subsequent ensembles entirely until
 // a cooldown lapses, so a wedged or compromised component stops
-// costing every request its retries and grace windows.
+// costing every request its failed run and grace windows.
 type Breaker struct {
 	threshold int           // consecutive failures that open the circuit
 	cooldown  time.Duration // how long an open circuit stays open

@@ -86,8 +86,8 @@ func TestRoutedRequestRecordsDecisionAndSkips(t *testing.T) {
 	if res.Routing != nil {
 		t.Errorf("route:false result still carries a decision: %+v", res.Routing)
 	}
-	if len(res.Report.Skipped) != 3 {
-		t.Errorf("full rung skipped %+v, want the three local-tier members", res.Report.Skipped)
+	if len(res.Report.Skipped) != 2 {
+		t.Errorf("full rung skipped %+v, want the two local-tier members", res.Report.Skipped)
 	}
 	for _, sk := range res.Report.Skipped {
 		if sk.Reason != engine.SkipExactInReach {
