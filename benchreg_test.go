@@ -300,12 +300,41 @@ func BenchmarkRegServeHit(b *testing.B) {
 	}
 }
 
+// regServeRelabelings returns eight relabelings of regServeBody's
+// instance at n=12, none of them the identity labeling, with their
+// /optimize bodies.
+func regServeRelabelings(b *testing.B) ([]*qon.Instance, [][]byte) {
+	b.Helper()
+	in, err := workload.Generate(workload.Params{N: 12, Shape: workload.Random, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var ins []*qon.Instance
+	var bodies [][]byte
+	for len(bodies) < 8 {
+		perm := rng.Perm(in.N())
+		if sort.IntsAreSorted(perm) {
+			continue // the identity labeling is the warm-up body
+		}
+		relabeled := qon.Relabel(in, perm)
+		body, err := json.Marshal(map[string]any{"job": map[string]any{"instance": relabeled}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, relabeled)
+		bodies = append(bodies, body)
+	}
+	return ins, bodies
+}
+
 // BenchmarkRegServeHitRelabeled pins the canonical cache hit: eight
 // pre-encoded relabelings of the warmed n=12 instance, cycled, and
 // never the warm-up body itself, so every op is admission, decode,
 // canonical identity, cache hit, remap and encode — the path a
 // relabeled duplicate takes, which the byte-identity index cannot
-// serve.
+// serve. RegServeDecode, RegServeCanon and RegServeEncode time three of
+// those stages alone.
 func BenchmarkRegServeHitRelabeled(b *testing.B) {
 	s, err := server.New(server.Config{MaxConcurrent: 4, DegradeAt: 64, Seed: 1})
 	if err != nil {
@@ -313,27 +342,65 @@ func BenchmarkRegServeHitRelabeled(b *testing.B) {
 	}
 	h := s.Handler()
 	regServeOnce(b, h, "/optimize", regServeBody(b, 12)) // warm the certified-result cache
-	in, err := workload.Generate(workload.Params{N: 12, Shape: workload.Random, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	var bodies [][]byte
-	for len(bodies) < 8 {
-		perm := rng.Perm(in.N())
-		if sort.IntsAreSorted(perm) {
-			continue // the identity labeling is the warm-up body
-		}
-		body, err := json.Marshal(map[string]any{"job": map[string]any{"instance": qon.Relabel(in, perm)}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, body)
-	}
+	_, bodies := regServeRelabelings(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regServeOnce(b, h, "/optimize", bodies[i%len(bodies)])
+	}
+}
+
+// BenchmarkRegServeCanon pins the canonical-identity stage of a
+// relabeled cache hit on its own: qon.CanonicalID on the eight
+// relabelings RegServeHitRelabeled serves, cycled.
+func BenchmarkRegServeCanon(b *testing.B) {
+	ins, _ := regServeRelabelings(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fp, _ := qon.CanonicalID(ins[i%len(ins)]); fp == "" {
+			b.Fatal("empty fingerprint")
+		}
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps headers and
+// drops the body.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkRegServeEncode pins the encode stage of a cache hit on its
+// own: server.WriteJSON of the Result document a relabeled hit on the
+// warmed n=12 instance is answered with, into a discarding writer.
+func BenchmarkRegServeEncode(b *testing.B) {
+	s, err := server.New(server.Config{MaxConcurrent: 4, DegradeAt: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	regServeOnce(b, h, "/optimize", regServeBody(b, 12)) // warm the certified-result cache
+	_, bodies := regServeRelabelings(b)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(bodies[0])))
+	var res server.Result
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || !res.Cached {
+		b.Fatalf("relabeled request was not a cache hit (err %v): %s", err, w.Body.Bytes())
+	}
+	// The decoded document must encode to the served bytes, so the
+	// benchmark times the document the hit path writes.
+	check := httptest.NewRecorder()
+	server.WriteJSON(check, http.StatusOK, &res)
+	if !bytes.Equal(check.Body.Bytes(), w.Body.Bytes()) {
+		b.Fatalf("re-encoded hit document differs from the served one:\n%s\n%s", check.Body.Bytes(), w.Body.Bytes())
+	}
+	out := &discardResponse{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		server.WriteJSON(out, http.StatusOK, &res)
 	}
 }
 

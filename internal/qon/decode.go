@@ -5,7 +5,7 @@ import (
 	"approxqo/internal/num"
 )
 
-// The one-pass instance decoder. decodeStrict scans the spelling
+// The one-pass instance decoder. ScanInstance scans the spelling
 // MarshalJSON emits — the four keys exactly once each, in any order,
 // with any JSON whitespace; the query graph as {"n": …, "edges": …}
 // (edges a list of two-integer arrays, or null); every value a JSON
@@ -15,20 +15,25 @@ import (
 // n×n backing array.
 //
 // It either decodes the instance encoding/json would decode from the
-// same bytes, or declines. Anything outside that spelling declines:
+// same object, or declines. Anything outside that spelling declines:
 // other key spellings (encoding/json matches keys case-insensitively
 // and lets duplicates overwrite), unknown keys, null or bare-number
 // values, escapes, numbers other than plain non-negative integers,
-// edge arrays not of length two, ragged matrices, trailing bytes, and
-// any value or graph the checks reject. UnmarshalJSON hands a declined
-// input to encoding/json unchanged, so every such case keeps its
-// existing result and error text.
+// edge arrays not of length two, ragged matrices, and any value, graph
+// or instance the checks reject. UnmarshalJSON hands a declined input
+// (and one with bytes after the object) to encoding/json unchanged, so
+// every such case keeps its existing result and error text.
 
-// decodeStrict returns the instance data spells, or ok=false to decline.
-func decodeStrict(data []byte) (in *Instance, ok bool) {
+// ScanInstance decodes the instance object at the start of data (after
+// any whitespace) and returns it validated, with end the offset just
+// past its closing brace; bytes after end are not looked at. ok=false
+// declines: the caller must then decode with encoding/json, which
+// defines the result for every declined input. The instance shares no
+// memory with data.
+func ScanInstance(data []byte) (in *Instance, end int, ok bool) {
 	s := scanner{b: data}
 	if !s.lit('{') {
-		return nil, false
+		return nil, 0, false
 	}
 	const (
 		hasQ = 1 << iota
@@ -47,7 +52,7 @@ func decodeStrict(data []byte) (in *Instance, ok bool) {
 	for {
 		key, ok := s.str()
 		if !ok || !s.lit(':') {
-			return nil, false
+			return nil, 0, false
 		}
 		var bit int
 		switch string(key) {
@@ -66,25 +71,41 @@ func decodeStrict(data []byte) (in *Instance, ok bool) {
 			bit = hasW
 			wv, wr, ok = s.matrix(n)
 		default:
-			return nil, false
+			return nil, 0, false
 		}
 		if !ok || seen&bit != 0 {
-			return nil, false
+			return nil, 0, false
 		}
 		seen |= bit
 		if s.lit('}') {
 			break
 		}
 		if !s.lit(',') {
-			return nil, false
+			return nil, 0, false
 		}
 	}
-	s.ws()
-	if s.i != len(s.b) || seen != hasQ|hasS|hasT|hasW ||
+	if seen != hasQ|hasS|hasT|hasW ||
 		len(t) != n || sr != n || wr != n || len(sv) != n*n || len(wv) != n*n {
+		return nil, 0, false
+	}
+	in = &Instance{Q: q, T: t, S: squareRows(sv, n), W: squareRows(wv, n)}
+	if in.Validate() != nil {
+		return nil, 0, false
+	}
+	return in, s.i, true
+}
+
+// decodeStrict is ScanInstance over a whole document: the validated
+// instance data spells with nothing but whitespace after it, or
+// ok=false to decline.
+func decodeStrict(data []byte) (*Instance, bool) {
+	in, end, ok := ScanInstance(data)
+	if !ok {
 		return nil, false
 	}
-	return &Instance{Q: q, T: t, S: squareRows(sv, n), W: squareRows(wv, n)}, true
+	s := scanner{b: data, i: end}
+	s.ws()
+	return in, s.i == len(data)
 }
 
 // squareRows slices a flat row-major n×n matrix into its rows, each capped

@@ -1,6 +1,7 @@
 package qon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -77,8 +78,10 @@ func sameInstance(a, b *Instance) bool {
 // instance decoder (which validates on decode), that it agrees with
 // the encoding/json reference on accept/reject and on every decoded
 // value, and that accepted instances survive a marshal/unmarshal round
-// trip. The decoder is called directly, without encoding/json's
-// validity pre-pass, so malformed documents reach the one-pass scan.
+// trip; ScanInstance, on the input followed by other bytes, must agree
+// with encoding/json on the object prefix. The decoder is called
+// directly, without encoding/json's validity pre-pass, so malformed
+// documents reach the one-pass scan.
 func FuzzInstanceJSON(f *testing.F) {
 	valid, err := json.Marshal(NewUniform(graph.Complete(3), num.FromInt64(4), num.Pow2(-1), num.FromInt64(2)))
 	if err != nil {
@@ -142,6 +145,28 @@ func FuzzInstanceJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
+		}
+		// ScanInstance is a prefix decoder: whatever follows the object,
+		// an instance it accepts, and the offset it reports as the
+		// object's end, must agree with encoding/json on that prefix.
+		for _, suffix := range []string{"", " ", "}", "]", `,"k":1}`, `x"`, "{}"} {
+			data := []byte(input + suffix)
+			got, end, ok := ScanInstance(data)
+			if !ok {
+				continue
+			}
+			dec := json.NewDecoder(bytes.NewReader(data))
+			var first json.RawMessage
+			if err := dec.Decode(&first); err != nil || dec.InputOffset() != int64(end) {
+				t.Fatalf("ScanInstance ended the object at %d, encoding/json at %d (err %v)", end, dec.InputOffset(), err)
+			}
+			ref, err := decodeReference(data[:end])
+			if err != nil {
+				t.Fatalf("ScanInstance accepted a prefix the encoding/json reference rejects: %v", err)
+			}
+			if !sameInstance(got, ref) {
+				t.Fatal("ScanInstance and the encoding/json reference decoded different instances")
+			}
 		}
 		var in Instance
 		err := in.UnmarshalJSON([]byte(input))

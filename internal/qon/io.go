@@ -35,9 +35,9 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 		if decoded.Q == nil {
 			return fmt.Errorf("qon: missing query graph")
 		}
-	}
-	if err := decoded.Validate(); err != nil {
-		return err
+		if err := decoded.Validate(); err != nil {
+			return err
+		}
 	}
 	*in = *decoded
 	return nil

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -110,7 +109,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
+	buf, err := readBody(w, r)
+	defer putBody(buf) // deferred calls run after the response is written
 	if err != nil {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "too_large")
@@ -118,7 +118,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes), 0)
 		return
 	}
-	br, err := DecodeBatchRequest(body, s.cfg.MaxBatchJobs)
+	br, err := DecodeBatchRequest(buf.Bytes(), s.cfg.MaxBatchJobs)
 	if err != nil {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "bad_request")

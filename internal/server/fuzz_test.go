@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -47,6 +49,11 @@ func FuzzServerRequestJSON(f *testing.F) {
 	} {
 		f.Add(body)
 	}
+	scanned, declined := strictJobSeeds()
+	for _, job := range append(scanned, declined...) {
+		f.Add(`{"job":` + job + `}`)
+	}
+	f.Add(`{"job":` + scanned[0] + ` x}`) // trailing bytes after the job
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
@@ -123,14 +130,27 @@ func FuzzBatchRequestJSON(f *testing.F) {
 	f.Add(`{"jobs":"nope"}`)
 	f.Add(`{}`)
 	f.Add(`null`)
+	scanned, declined := strictJobSeeds()
+	for _, job := range append(scanned, declined...) {
+		f.Add(`{"jobs":[` + job + `]}`)
+	}
+	f.Add(`{"jobs":[` + strings.Join(scanned, ",") + `]}`)
+	f.Add(`{"jobs":[` + scanned[0] + ` x]}`) // trailing bytes after a job
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
 		}
 		const maxJobs = 8
 		br, err := DecodeBatchRequest([]byte(input), maxJobs)
+		ref, rerr := decodeBatchReference([]byte(input), maxJobs)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("DecodeBatchRequest error %v, encoding/json reference error %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if a, b := mustMarshal(t, br), mustMarshal(t, ref); a != b {
+			t.Fatalf("DecodeBatchRequest decoded %s, encoding/json reference %s", a, b)
 		}
 		if len(br.Jobs) == 0 || len(br.Jobs) > maxJobs {
 			t.Fatalf("decoder accepted %d jobs outside [1, %d]", len(br.Jobs), maxJobs)
@@ -189,6 +209,68 @@ func FuzzBatchRequestJSON(f *testing.F) {
 			t.Fatalf("round trip changed job count: %d -> %d", len(br.Jobs), len(back.Jobs))
 		}
 	})
+}
+
+// strictJobSeeds are job objects around decodeJob's one-pass scan:
+// spellings it scans, and spellings it declines, one per decline rule.
+// Each decodes to the same job and error either way.
+func strictJobSeeds() (scanned, declined []string) {
+	const (
+		inst    = `{"query_graph":{"n":2,"edges":[[0,1]]},"selectivities":[["1","0x.8p+0"],["0x.8p+0","1"]],"sizes":["4","4"],"access_costs":[["4","2"],["2","4"]]}`
+		invalid = `{"query_graph":{"n":2,"edges":[[0,1]]},"selectivities":[["1","2"],["2","1"]],"sizes":["4","4"],"access_costs":[["4","2"],["2","4"]]}`
+	)
+	scanned = []string{
+		`{"instance":` + inst + `,"model":"qon","timeout_ms":250,"route":true}`,
+		` { "route" : false , "instance" : ` + inst + ` } `,
+		`{"instance":` + inst + `,"model":"QON"}`,
+	}
+	declined = []string{
+		`{"instance":` + inst + `,"route":null}`,
+		`{"Instance":` + inst + `}`,
+		`{"instance":` + inst + `,"instance":` + inst + `}`,
+		`{"instance":` + inst + `,"unknown":1}`,
+		`{"instance":` + invalid + `}`,
+		`{"instance":null}`,
+		`{"instance":` + inst + `,"model":"q\u006fn"}`,
+		`{"instance":` + inst + `,"model":"qön"}`,
+		`{"instance":` + inst + `,"route":true,"route":false}`,
+		`{"instance":` + inst + `,"route":tru}`,
+	}
+	for _, ms := range []string{"-1", "0", "-0", "999999999999999999"} {
+		scanned = append(scanned, `{"instance":`+inst+`,"timeout_ms":`+ms+`}`)
+	}
+	for _, ms := range []string{"1e3", "2.5", "007", "-", `"5"`, "9223372036854775807",
+		"9223372036854775808", "-9223372036854775808", "99999999999999999999"} {
+		declined = append(declined, `{"instance":`+inst+`,"timeout_ms":`+ms+`}`)
+	}
+	return scanned, declined
+}
+
+// decodeBatchReference is DecodeBatchRequest with every job decoded by
+// encoding/json, the reference for decodeJob's one-pass scan.
+func decodeBatchReference(data []byte, maxJobs int) (*BatchRequest, error) {
+	var env struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("decoding batch request: %w", err)
+	}
+	if len(env.Jobs) == 0 {
+		return nil, fmt.Errorf("batch request needs a non-empty jobs array")
+	}
+	if maxJobs > 0 && len(env.Jobs) > maxJobs {
+		return nil, fmt.Errorf("batch has %d jobs, cap is %d", len(env.Jobs), maxJobs)
+	}
+	br := &BatchRequest{Jobs: make([]*Job, len(env.Jobs)), raw: env.Jobs}
+	for i, raw := range env.Jobs {
+		if err := json.Unmarshal(raw, &br.Jobs[i]); err != nil {
+			return nil, fmt.Errorf("decoding batch request: job %d: %w", i, err)
+		}
+		if br.Jobs[i] == nil {
+			return nil, fmt.Errorf("job %d is null", i)
+		}
+	}
+	return br, nil
 }
 
 func mustMarshal(t *testing.T, v any) string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"approxqo/internal/cluster/replica"
@@ -101,14 +102,20 @@ type Request struct {
 // DecodeRequest parses and validates one request body. Errors are
 // safe to echo to clients.
 //
-// A body spelled `{"job": V}` decodes V on its own, so the body is
-// scanned once; any other spelling, and any V that does not decode,
-// goes through decodeWhole, whose result and errors are the same.
+// A body spelled `{"job": V}` decodes V on its own with decodeJob, so
+// a job in the spelling clients send is scanned once; any other
+// spelling, and any V that does not decode, goes through decodeWhole,
+// whose result and errors are the same.
 func DecodeRequest(data []byte) (*Request, error) {
-	req := &Request{}
-	if v, ok := envelopeValue(data); !ok || json.Unmarshal(v, &req.Job) != nil {
+	v, ok := envelopeValue(data)
+	if !ok {
 		return decodeWhole(data)
 	}
+	job, err := decodeJob(v)
+	if err != nil {
+		return decodeWhole(data)
+	}
+	req := &Request{Job: job}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -191,6 +198,166 @@ func strayKey(data []byte) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// decodeJob returns what json.Unmarshal(raw, &job) returns for a
+// *Job, job and error alike. A job that sets only instance, model,
+// timeout_ms and route, each key spelled exactly and at most once, with
+// an instance ScanInstance accepts, a printable-ASCII model without
+// escapes, a plain integer timeout_ms that fits int64, a true or false
+// route, and nothing after the object but whitespace, is scanned in
+// one pass (scanJob). Everything else — workload, qoh_instance, null,
+// escapes, other key spellings, unknown or duplicate keys, an instance
+// that fails validation — declines to encoding/json, which defines the
+// result and error text of every declined input.
+func decodeJob(raw []byte) (*Job, error) {
+	if job, ok := scanJob(raw); ok {
+		return job, nil
+	}
+	var job *Job
+	err := json.Unmarshal(raw, &job)
+	return job, err
+}
+
+// scanJob is decodeJob's one-pass scan; ok=false declines. The job
+// shares no memory with data.
+func scanJob(data []byte) (job *Job, ok bool) {
+	const (
+		hasInstance = 1 << iota
+		hasModel
+		hasTimeout
+		hasRoute
+	)
+	s := jobScanner{b: data}
+	if !s.lit('{') {
+		return nil, false
+	}
+	job = &Job{}
+	seen := 0
+	for {
+		key, ok := s.str()
+		if !ok || !s.lit(':') {
+			return nil, false
+		}
+		var bit int
+		switch string(key) {
+		case "instance":
+			bit = hasInstance
+			var end int
+			if job.Instance, end, ok = qon.ScanInstance(data[s.i:]); ok {
+				s.i += end
+			}
+		case "model":
+			bit = hasModel
+			var v []byte
+			v, ok = s.str()
+			job.Model = string(v)
+		case "timeout_ms":
+			bit = hasTimeout
+			job.TimeoutMS, ok = s.int64()
+		case "route":
+			bit = hasRoute
+			var route bool
+			route, ok = s.bool()
+			job.Route = &route
+		default:
+			return nil, false
+		}
+		if !ok || seen&bit != 0 {
+			return nil, false
+		}
+		seen |= bit
+		if s.lit('}') {
+			break
+		}
+		if !s.lit(',') {
+			return nil, false
+		}
+	}
+	s.ws()
+	return job, s.i == len(data)
+}
+
+// jobScanner walks a job object for scanJob; every method skips the
+// whitespace before its token and reports false on anything but what
+// it expects.
+type jobScanner struct {
+	b []byte
+	i int
+}
+
+func (s *jobScanner) ws() {
+	for s.i < len(s.b) && strings.IndexByte(jsonSpace, s.b[s.i]) >= 0 {
+		s.i++
+	}
+}
+
+// lit consumes the byte c.
+func (s *jobScanner) lit(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// str consumes a string of printable ASCII without escapes and returns
+// its contents, which are then exactly the string encoding/json decodes.
+func (s *jobScanner) str() ([]byte, bool) {
+	if !s.lit('"') {
+		return nil, false
+	}
+	for j := s.i; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i:j]
+			s.i = j + 1
+			return v, true
+		case c == '\\' || c < 0x20 || c > 0x7e:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// int64 consumes an integer in JSON's spelling — no leading zeros, no
+// fraction or exponent (the caller's next token rejects those) — of at
+// most 18 digits, so it cannot overflow.
+func (s *jobScanner) int64() (int64, bool) {
+	s.ws()
+	j, neg := s.i, false
+	if j < len(s.b) && s.b[j] == '-' {
+		j, neg = j+1, true
+	}
+	start, v := j, int64(0)
+	for j < len(s.b) && s.b[j] >= '0' && s.b[j] <= '9' {
+		v = v*10 + int64(s.b[j]-'0')
+		j++
+		if j-start > 18 {
+			return 0, false
+		}
+	}
+	if digits := j - start; digits == 0 || digits > 1 && s.b[start] == '0' {
+		return 0, false
+	}
+	s.i = j
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// bool consumes true or false.
+func (s *jobScanner) bool() (bool, bool) {
+	s.ws()
+	for _, lit := range [...]string{"false", "true"} {
+		if bytes.HasPrefix(s.b[s.i:], []byte(lit)) {
+			s.i += len(lit)
+			return lit == "true", true
+		}
+	}
+	return false, false
 }
 
 // Validate checks the cross-field constraints the per-instance decoders
@@ -395,12 +562,14 @@ func DecodeBatchRequest(data []byte, maxJobs int) (*BatchRequest, error) {
 	}
 	br := &BatchRequest{Jobs: make([]*Job, len(env.Jobs)), raw: env.Jobs}
 	for i, raw := range env.Jobs {
-		if err := json.Unmarshal(raw, &br.Jobs[i]); err != nil {
+		job, err := decodeJob(raw)
+		if err != nil {
 			return nil, fmt.Errorf("decoding batch request: job %d: %w", i, err)
 		}
-		if br.Jobs[i] == nil {
+		if job == nil {
 			return nil, fmt.Errorf("job %d is null", i)
 		}
+		br.Jobs[i] = job
 	}
 	return br, nil
 }

@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -469,7 +468,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		m.Counter(MetricDegraded).Inc()
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
+	buf, err := readBody(w, r)
+	defer putBody(buf) // deferred calls run after the response is written
 	if err != nil {
 		m.Counter(MetricBadRequest).Inc()
 		span.SetField("kind", "too_large")
@@ -477,6 +477,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes), 0)
 		return
 	}
+	body := buf.Bytes()
 	// The byte-identity index first: a body byte-identical to one that
 	// stored a cache entry is served from that entry without decode,
 	// validation or canonical labeling (DESIGN.md § Byte-identity cache
@@ -1016,10 +1017,10 @@ func echoRequestID(w http.ResponseWriter, r *http.Request, span *trace.Span) str
 }
 
 // encState is the pooled JSON response encoder: one buffer plus one
-// indent-configured encoder, recycled across responses so serving a
-// request re-allocates neither the encoder machinery nor (once warm)
-// the response buffer. Buffering the whole document before writing
-// also lets every response carry Content-Length.
+// encoder, recycled across responses so serving a request re-allocates
+// neither the encoder machinery nor (once warm) the response buffer.
+// Buffering the whole document before writing also lets every response
+// carry Content-Length.
 type encState struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -1028,18 +1029,17 @@ type encState struct {
 var encPool = sync.Pool{New: func() any {
 	e := &encState{}
 	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
 	return e
 }}
 
-// maxPooledEncBytes caps the buffer capacity retained by the encoder
-// pool: a one-off giant batch response must not pin its buffer forever.
-const maxPooledEncBytes = 1 << 20
+// maxPooledBytes caps the buffer capacity the encoder and request-body
+// pools retain: a one-off giant batch document must not pin its buffer
+// forever.
+const maxPooledBytes = 1 << 20
 
-// WriteJSON writes v as the response document: two-space indented
-// JSON with Content-Type and Content-Length, encoded through a pooled
-// buffer. The worker and the cluster coordinator write every document
-// through it.
+// WriteJSON writes v as the response document: compact JSON with
+// Content-Type and Content-Length, encoded through a pooled buffer. The
+// worker and the cluster coordinator write every document through it.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	e := encPool.Get().(*encState)
 	e.buf.Reset()
@@ -1055,8 +1055,38 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(e.buf.Bytes())
-	if e.buf.Cap() <= maxPooledEncBytes {
+	if e.buf.Cap() <= maxPooledBytes {
 		encPool.Put(e)
+	}
+}
+
+// bodyPool recycles request-body buffers across /optimize and
+// /optimize/batch requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r's body, capped at DefaultMaxBodyBytes, into a pooled
+// buffer pre-grown from Content-Length, so a body is read without
+// regrowing. The caller must hand the buffer to putBody only after the
+// response is written: until then the request's byte identity and any
+// error text may still be derived from it. Decoded requests share no
+// memory with the body, so nothing that outlives the handler (cache
+// entries, abandoned engine runs) holds it.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= DefaultMaxBodyBytes {
+		// One MinRead of slack lets ReadFrom see EOF without growing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
+	return buf, err
+}
+
+// putBody returns a readBody buffer to the pool, unless it grew past
+// maxPooledBytes.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBytes {
+		bodyPool.Put(buf)
 	}
 }
 

@@ -8,11 +8,13 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,7 +40,8 @@ const (
 // soakFaults holds, per injected fault of soakChaosSpec, the evidence in
 // a served run record that it fired. All three targets are greedy-tier
 // members, which both rungs run; the local tier (annealing, say) is
-// left out of full-rung ensembles whenever the serial DP is in reach.
+// left out of full-rung ensembles whenever the serial DP is in reach,
+// and probeSoakFaults fails the soak for a fault aimed there.
 var soakFaults = map[string]func(engine.RunRecord) bool{
 	"panic:greedy-min-cost": func(r engine.RunRecord) bool { return r.Name == "greedy-min-cost" && r.Panicked },
 	"stall:kbz": func(r engine.RunRecord) bool {
@@ -201,12 +204,9 @@ func checkRejection(out *loadgen.Outcome, wantOK bool) error {
 	return nil
 }
 
-func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test skipped in -short mode")
-	}
-	reg := trace.NewRegistry()
-	s, err := server.New(server.Config{
+// soakConfig is the chaos soak's server configuration.
+func soakConfig(reg *trace.Registry) server.Config {
+	return server.Config{
 		MaxConcurrent:  soakMaxParallel,
 		QueueDepth:     3 * soakMaxParallel,
 		DegradeAt:      soakMaxParallel,
@@ -218,7 +218,64 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 		ChaosOptions:   []chaos.Option{chaos.WithStall(soakStall)},
 		EngineGrace:    25 * time.Millisecond,
 		Metrics:        reg,
-	})
+	}
+}
+
+// probeSoakFaults checks, before the fleet starts, that every injected
+// fault fires in a full-rung report. A fault aimed at a member the full
+// rung does not run would make the soak vacuous there. Under load the
+// fleet's few full-rung requests may all degrade, and the breaker
+// benches the faulted members after their third failure, so the fleet's
+// own reports cannot be the evidence. Each fault instead gets one
+// request of the fleet's workload mix, alone on a fresh server
+// configured like the soak's: at zero load it is served on the full
+// rung with every breaker circuit closed.
+func probeSoakFaults(t *testing.T) {
+	t.Helper()
+	faults := make([]string, 0, len(soakFaults))
+	for fault := range soakFaults {
+		faults = append(faults, fault)
+	}
+	sort.Strings(faults)
+	for k, fault := range faults {
+		s, err := server.New(soakConfig(trace.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := soakRequest(t, 0, k)
+		if req.Workload == nil {
+			t.Fatalf("probe request %d is not a workload request of the fleet's mix", k)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)))
+		var res server.Result
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &res) != nil || res.Report == nil {
+			t.Fatalf("probe for fault %q: status %d: %s", fault, w.Code, w.Body.Bytes())
+		}
+		if res.Degraded {
+			t.Fatalf("probe for fault %q was served degraded at zero load", fault)
+		}
+		fired := false
+		for _, run := range res.Report.Runs {
+			fired = fired || soakFaults[fault](run)
+		}
+		if !fired {
+			t.Errorf("injected fault %q never fired in a full-rung report", fault)
+		}
+	}
+}
+
+func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test skipped in -short mode")
+	}
+	probeSoakFaults(t)
+	reg := trace.NewRegistry()
+	s, err := server.New(soakConfig(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +290,6 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 		drainGate = make(chan struct{}) // closed once, at the half-way mark
 		gateOnce  sync.Once
 		wg        sync.WaitGroup
-		fired     sync.Map // soakFaults key → true once observed
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -264,16 +320,6 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 					}
 					if err := checkSuccess(out.Result, req.QOHInstance != nil && wantOK); err != nil {
 						errC <- fmt.Errorf("client %d request %d: %v", i, j, err)
-					}
-					for _, run := range out.Result.Report.Runs {
-						if out.Result.Degraded {
-							break // evidence is collected from full-rung reports
-						}
-						for fault, evident := range soakFaults {
-							if evident(run) {
-								fired.Store(fault, true)
-							}
-						}
 					}
 					continue
 				}
@@ -324,15 +370,6 @@ func TestSoakChaosFleetWithMidLoadDrain(t *testing.T) {
 	}
 	t.Logf("soak: %d responses (%d ok, %d degraded, %d rejected)",
 		total, oks.Load(), degraded.Load(), rejected.Load())
-	// A fault aimed at a member the full rung no longer runs would make
-	// the soak vacuous there: every injected fault must have fired in a
-	// full-rung report.
-	for fault := range soakFaults {
-		if _, ok := fired.Load(fault); !ok {
-			t.Errorf("injected fault %q never fired in a full-rung report", fault)
-		}
-	}
-
 	// Server-side accounting must balance: the fleet only POSTs, so
 	// every hit was either admitted or rejected at admission (decode
 	// failures are a subset of accepted), and the load gauges returned
