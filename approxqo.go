@@ -128,7 +128,7 @@ type (
 	// ReplicaEntry is one replicated certified cache entry (key +
 	// canonical-space report), re-validated at every trust boundary;
 	// ReplicaRange is a half-open wrapping arc of the hash circle the
-	// handoff and anti-entropy paths address keyspace by.
+	// anti-entropy path addresses keyspace by.
 	ReplicaEntry = replica.Entry
 	ReplicaRange = replica.Range
 	// NetFault names an injectable network fault (drop, delay, 5xx,

@@ -479,10 +479,11 @@ func BenchmarkRegServeBatch(b *testing.B) {
 // 64-worker ring, with distinct fingerprint-shaped keys so the binary
 // search and distinct-owner walk see realistic spread.
 func BenchmarkRegRingRoute(b *testing.B) {
-	ring := cluster.NewRing(0)
-	for i := 0; i < 64; i++ {
-		ring.Add("http://worker-" + strconv.Itoa(i) + ":8080")
+	workers := make([]string, 64)
+	for i := range workers {
+		workers[i] = "http://worker-" + strconv.Itoa(i) + ":8080"
 	}
+	ring := cluster.NewRing(workers, 0)
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = "qon:fp-" + strconv.Itoa(i*2654435761)

@@ -47,12 +47,13 @@
 //	qod -addr :8080 -coordinate ... -replicas 2 -repair-every 5s
 //	qod -addr :8080 -coordinate ... -net-chaos 'delay:w2,rate:0.1'
 //
+// Ring membership is the -coordinate list for the life of the process.
 // With replication on (the default, -replicas 2), each certified result
-// stored by a worker is fanned out to its ring successors, membership
-// changes stream the moved keyspace to the new owner before traffic
-// flips (hinted handoff), and a background anti-entropy loop
-// (-repair-every) digests replica pairs and read-repairs divergence,
-// paying for each transfer out of the global retry budget. Replication
+// stored by a worker is fanned out to its ring successors, so a dead
+// worker's keys stay hits on the successors it fails over to, and a
+// background anti-entropy loop (-repair-every) digests replica pairs
+// and read-repairs divergence — refilling a worker restarted at its
+// address — paying for each transfer out of the global retry budget. Replication
 // traffic is authenticated by a shared secret (-cluster-secret, or
 // $QOD_CLUSTER_SECRET) that every fleet member must be started with;
 // without one, workers keep their /cache/* surfaces closed and the

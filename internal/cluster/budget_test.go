@@ -90,10 +90,7 @@ func TestHedgeLoserRefundsBudgetToken(t *testing.T) {
 
 	req := &server.Request{Job: &server.Job{Workload: &server.WorkloadSpec{Shape: "chain", N: 5, Seed: 3}, TimeoutMS: 20_000}}
 	key := routeKey(req, nil)
-	probe := NewRing(0)
-	probe.Add(a.URL)
-	probe.Add(b.URL)
-	order := probe.Lookup(key, 2) // dispatch order: order[0] primary, order[1] hedge
+	order := NewRing([]string{a.URL, b.URL}, 0).Lookup(key, 2) // dispatch order: order[0] primary, order[1] hedge
 	mu.Lock()
 	roles[strings.TrimPrefix(order[0], "http://")] = "primary"
 	mu.Unlock()

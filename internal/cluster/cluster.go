@@ -51,8 +51,9 @@ import (
 
 // Metric names published into the configured registry. The soak tests
 // assert the retry-amplification invariant: MetricAttempts ≤
-// MetricRequests + MetricBatchShapes + retry-budget burst +
-// ratio·requests — every upstream POST is accounted, including hedges.
+// (MetricRequests + MetricBatchShapes)·(1 + ratio) + retry-budget
+// burst + MetricRetryRefunded — every upstream POST is accounted,
+// including hedges.
 const (
 	MetricRequests       = "cluster.requests"         // counter: client /optimize hits
 	MetricBatchRequests  = "cluster.batch.requests"   // counter: client /optimize/batch hits
@@ -71,14 +72,10 @@ const (
 	MetricRetryRefunded  = "cluster.retry.refunded"   // counter: hedge-loser tokens returned to the budget
 )
 
-// Replication metric names. The chaos soak asserts MetricHandoff > 0
-// after a kill-and-replace (the moved keyspace was streamed, not
-// cold-started) and that repair transfers stay within the retry
-// budget's bound (MetricRepairXfers withdraws ⊆ the budget invariant).
+// Replication metric names. The replica soak asserts that repair
+// transfers stay within the retry budget's bound (MetricRepairXfers
+// withdraws ⊆ the budget invariant).
 const (
-	MetricReplicaWarm   = "cluster.replica.warm"           // gauge: 1 when the moved keyspace is fully streamed
-	MetricHandoff       = "cluster.replica.handoff"        // counter: entries streamed by hinted handoff
-	MetricHandoffDenied = "cluster.replica.handoff.denied" // counter: entries past the transfer budget, left to repair
 	MetricRepairRounds  = "cluster.replica.repair.rounds"  // counter: anti-entropy passes started
 	MetricRepairRanges  = "cluster.replica.repair.ranges"  // counter: divergent replica ranges found
 	MetricRepairXfers   = "cluster.replica.repair.xfers"   // counter: repair transfers issued (each withdrew a budget token)
@@ -93,28 +90,24 @@ const (
 	SpanBatch   = "cluster.batch"
 )
 
-// Fixed routing and handoff policy. hedgeFloor and hedgeCeil clamp the
-// adaptive hedge delay (the floor doubles as the delay before enough
-// latency samples accrue); hopMargin is withheld from the budget
-// forwarded to a worker, so the worker answers before the coordinator
-// gives up; one membership change streams at most handoffEntries
-// entries within handoffTimeout. Past either bound handoff degrades
-// gracefully: the ring still flips, the warm gauge stays 0, and
-// anti-entropy finishes the job under the retry budget's pacing.
-// Serving never waits on a handoff.
+// Fixed routing policy. hedgeFloor and hedgeCeil clamp the adaptive
+// hedge delay (the floor doubles as the delay before enough latency
+// samples accrue); hopMargin is withheld from the budget forwarded to a
+// worker, so the worker answers before the coordinator gives up.
 const (
-	hedgeFloor     = time.Millisecond
-	hedgeCeil      = 2 * time.Second
-	hopMargin      = 5 * time.Millisecond
-	handoffEntries = 512
-	handoffTimeout = 5 * time.Second
+	hedgeFloor = time.Millisecond
+	hedgeCeil  = 2 * time.Second
+	hopMargin  = 5 * time.Millisecond
 )
 
 // Config configures a Coordinator. The zero value plus a Workers list
 // is usable: every other field has a production-shaped default.
 type Config struct {
 	// Workers are the qod worker base URLs (http://host:port) forming
-	// the initial ring membership. At least one is required.
+	// the ring. At least one is required. Membership is fixed for the
+	// coordinator's life: a dead worker's keys fail over to its ring
+	// successors, and a worker restarted at its address rejoins and is
+	// refilled by anti-entropy.
 	Workers []string
 
 	// Transport issues upstream requests (default http.DefaultTransport);
@@ -158,13 +151,13 @@ type Config struct {
 
 	// Replicas is the number of ring successors each worker's certified
 	// cache entries are replicated to: the coordinator names them in the
-	// X-Replicate-To header of every forwarded job, and handoff and
-	// anti-entropy maintain that copy count across membership changes
-	// and partitions. Zero means replica.DefaultReplicas; negative
-	// disables replication, handoff and repair entirely. Replication
-	// also requires ClusterSecret: without one, workers keep their
-	// /cache/* surfaces closed, so withDefaults forces Replicas
-	// negative rather than fanning out requests every worker refuses.
+	// X-Replicate-To header of every forwarded job, and anti-entropy
+	// restores that copy count after partitions and worker restarts.
+	// Zero means replica.DefaultReplicas; negative disables replication
+	// and repair entirely. Replication also requires ClusterSecret:
+	// without one, workers keep their /cache/* surfaces closed, so
+	// withDefaults forces Replicas negative rather than fanning out
+	// requests every worker refuses.
 	Replicas int
 	// ClusterSecret is the shared secret proving cluster membership on
 	// every replication exchange (replica.AuthHeader): offers, digests,
@@ -260,19 +253,7 @@ type Coordinator struct {
 
 	inflight atomic.Int64
 	draining atomic.Bool
-	warm     atomic.Bool
 	started  time.Time
-
-	// mmu serializes membership changes (JoinWorker/RetireWorker/
-	// AddWorker/RemoveWorker): each computes its ownership delta from a
-	// ring snapshot, and two interleaved changes would hand keyspace off
-	// against stale snapshots. warmGen counts membership generations and
-	// handoffs counts handoff passes in flight, so a concurrent
-	// RepairOnce that converged against the old ring cannot flip the
-	// warm gauge mid-change (see RepairOnce).
-	mmu      sync.Mutex
-	warmGen  atomic.Int64
-	handoffs atomic.Int32
 }
 
 // New builds a Coordinator over the configured worker pool.
@@ -283,7 +264,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(DefaultVirtualNodes),
+		ring:    NewRing(cfg.Workers, DefaultVirtualNodes),
 		budget:  newRetryBudget(DefaultRetryRatio, cfg.RetryBurst),
 		lat:     newLatencyTracker(),
 		client:  &http.Client{Transport: cfg.Transport},
@@ -294,24 +275,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.health = newHealthBoard(DefaultDownAfter, cfg.DownCooldown, func(string) {
 		cfg.Metrics.Counter(MetricWorkerDown).Inc()
 	})
-	for _, w := range cfg.Workers {
-		c.ring.Add(w)
-	}
-	c.setWarm(true) // no membership change has moved any keyspace yet
 	return c, nil
-}
-
-// setWarm records replica warmth: whether every keyspace arc moved by
-// membership changes has been fully streamed to its new owner. Serving
-// never gates on it — cold arcs just miss their caches until handoff
-// or anti-entropy catches up.
-func (c *Coordinator) setWarm(warm bool) {
-	c.warm.Store(warm)
-	v := int64(0)
-	if warm {
-		v = 1
-	}
-	c.cfg.Metrics.Gauge(MetricReplicaWarm).Set(v)
 }
 
 // BeginDrain marks the coordinator as draining: /readyz reports
@@ -319,29 +283,6 @@ func (c *Coordinator) setWarm(warm bool) {
 // load balancer sees a deliberate drain rather than a flapping
 // failure) and stops claiming readiness once the last request ends.
 func (c *Coordinator) BeginDrain() { c.draining.Store(true) }
-
-// AddWorker joins a worker to the ring immediately, without hinted
-// handoff: keys rebalance at once and the moved arcs cold-start (or
-// wait for anti-entropy). JoinWorker is the warm path.
-func (c *Coordinator) AddWorker(worker string) {
-	c.mmu.Lock()
-	defer c.mmu.Unlock()
-	c.warmGen.Add(1)
-	c.ring.Add(worker)
-}
-
-// RemoveWorker leaves a worker from the ring and forgets its health,
-// without streaming its keyspace first. RetireWorker is the warm path.
-func (c *Coordinator) RemoveWorker(worker string) {
-	c.mmu.Lock()
-	defer c.mmu.Unlock()
-	c.warmGen.Add(1)
-	c.ring.Remove(worker)
-	c.health.forget(worker)
-}
-
-// Workers lists the current ring membership.
-func (c *Coordinator) Workers() []string { return c.ring.Workers() }
 
 // Handler returns the coordinator's panic-isolated HTTP handler:
 // /optimize and /optimize/batch route to workers; /healthz and /readyz
@@ -491,24 +432,19 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // ReadyDoc is the coordinator's /readyz payload: ready while at least
 // one worker is routable and the coordinator is not draining.
-// ReplicaWarm reports whether every membership-moved keyspace arc has
-// been streamed to its new owner — informational, never gating: a cold
-// fleet serves correctly, just with more cache misses.
 type ReadyDoc struct {
-	Ready       bool           `json:"ready"`
-	Draining    bool           `json:"draining"`
-	ReplicaWarm bool           `json:"replica_warm"`
-	InFlight    int            `json:"inflight"`
-	Workers     []WorkerStatus `json:"workers"`
+	Ready    bool           `json:"ready"`
+	Draining bool           `json:"draining"`
+	InFlight int            `json:"inflight"`
+	Workers  []WorkerStatus `json:"workers"`
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	workers := c.ring.Workers()
 	doc := &ReadyDoc{
-		Draining:    c.draining.Load(),
-		ReplicaWarm: c.warm.Load(),
-		InFlight:    int(c.inflight.Load()),
-		Workers:     c.health.snapshot(workers),
+		Draining: c.draining.Load(),
+		InFlight: int(c.inflight.Load()),
+		Workers:  c.health.snapshot(workers),
 	}
 	fleetUp := false
 	for _, ws := range workers {

@@ -135,13 +135,6 @@ func (h *healthBoard) stateOf(worker string) WorkerState {
 	return StateHealthy
 }
 
-// forget drops a worker's state (ring membership removal).
-func (h *healthBoard) forget(worker string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.state, worker)
-}
-
 // snapshot lists worker states for the readiness document, sorted by
 // worker name for stable output.
 func (h *healthBoard) snapshot(workers []string) []WorkerStatus {

@@ -82,7 +82,7 @@ func TestHealthHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
-func TestHealthForgetAndSnapshot(t *testing.T) {
+func TestHealthSnapshot(t *testing.T) {
 	h := newHealthBoard(3, time.Second, nil)
 	h.observe("http://b", false)
 	h.observe("http://a", false)
@@ -98,10 +98,6 @@ func TestHealthForgetAndSnapshot(t *testing.T) {
 	}
 	if snap[2].State != "healthy" {
 		t.Errorf("unseen worker reported %q, want healthy", snap[2].State)
-	}
-	h.forget("http://a")
-	if h.stateOf("http://a") != StateHealthy {
-		t.Error("forget must reset a worker to healthy (fresh membership)")
 	}
 }
 

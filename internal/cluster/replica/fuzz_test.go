@@ -17,7 +17,7 @@ func FuzzCacheOfferJSON(f *testing.F) {
 	f.Add(`{"from":"http://w1:8081","entries":[{"key":"s2:qon:3:deadbeef","raw_key":"ab12",` +
 		`"report":{"model":"qon","n":3,"best":{"winner":"dp","sequence":[2,0,1],` +
 		`"cost":"42","cost_log2":5.39,"exact":true,"certified":true},"runs":[]}}]}`)
-	// A handoff-shaped multi-entry offer.
+	// A repair-shaped multi-entry offer.
 	f.Add(`{"entries":[` +
 		`{"key":"s2:qon:1:aa","report":{"model":"qon","n":1,"best":{"winner":"greedy","sequence":[0],"cost":"7","certified":true}}},` +
 		`{"key":"s2:qoh:2:bb","report":{"model":"qoh","n":2,"best":{"winner":"qoh-dp","sequence":[1,0],"cost":"9","certified":true}}}]}`)

@@ -1,12 +1,12 @@
 // Package replica defines the wire protocol and keyspace arithmetic of
 // the cluster's certified-result cache replication: the entry shape a
 // worker offers its ring successors, the per-range digests anti-entropy
-// compares, and the hash/range primitives the coordinator's ring and
-// its ownership deltas are built on.
+// compares, and the hash/range primitives the coordinator's ring is
+// built on.
 //
 // The package sits below both internal/server (which serves the
 // /cache/* endpoints and fans offers out) and internal/cluster (which
-// orchestrates handoff and repair), so the two sides of every exchange
+// orchestrates repair), so the two sides of every exchange
 // validate with the same code. Validation here is the trust boundary:
 // a replica accepts an offered entry only if it re-proves the serving
 // layer's contract — certified winner, valid cost, permutation-valid
@@ -169,8 +169,8 @@ func (e *Entry) Validate() error {
 }
 
 // OfferRequest is the body of POST /cache/offer: entries a peer (the
-// owning worker's async fan-out, or the coordinator's handoff/repair
-// streams) wants this replica to hold.
+// owning worker's async fan-out, or the coordinator's repair
+// transfers) wants this replica to hold.
 type OfferRequest struct {
 	// From names the offering peer (diagnostic only; acceptance never
 	// depends on it).
@@ -186,8 +186,8 @@ type OfferResponse struct {
 	Rejected int `json:"rejected"`
 }
 
-// DefaultMaxOfferEntries bounds one offer body; handoff and repair
-// stream in chunks below it.
+// DefaultMaxOfferEntries bounds one offer body; repair sends in chunks
+// below it.
 const DefaultMaxOfferEntries = 256
 
 // DecodeOffer parses one offer body, applying the structural checks
@@ -302,7 +302,7 @@ type KeysResponse struct {
 }
 
 // ExportRequest is the body of POST /cache/export: fetch full entries
-// by key (the pull half of handoff and read repair). Keys absent from
+// by key (the pull half of read repair). Keys absent from
 // the cache are silently omitted — eviction between the key exchange
 // and the export is normal, not an error.
 type ExportRequest struct {

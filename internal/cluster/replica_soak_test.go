@@ -4,11 +4,11 @@
 // only it — /optimize stays clean, proving serving never blocks on
 // replication); anti-entropy repairs the divergence the partition
 // created, paying for every transfer out of the global retry budget.
-// Then one worker is killed and replaced — hinted handoff streams the
-// moved keyspace from the surviving replicas to the newcomer — and
-// relabeled duplicates of every pre-kill request must come back as
-// canonical cache hits, certified, with zero uncertified 200s.
-// Race-clean (go test -race).
+// Then one worker is killed and restarted empty at its old address —
+// the ring is unchanged, so anti-entropy refills it from the surviving
+// replicas — and relabeled duplicates of every pre-kill request must
+// come back as canonical cache hits, certified, with zero uncertified
+// 200s. Race-clean (go test -race).
 package cluster
 
 import (
@@ -18,11 +18,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,6 +44,14 @@ const rsoakSecret = "rsoak-secret"
 // given (possibly chaotic) transport.
 func rsoakWorker(t *testing.T, seed int64, rt http.RoundTripper) (*trace.Registry, *httptest.Server) {
 	t.Helper()
+	return rsoakWorkerAt(t, seed, rt, "")
+}
+
+// rsoakWorkerAt is rsoakWorker listening on addr; "" picks a free
+// loopback port. A worker restarted at its old address rejoins the
+// coordinator's fixed ring as the owner of the arcs it held before.
+func rsoakWorkerAt(t *testing.T, seed int64, rt http.RoundTripper, addr string) (*trace.Registry, *httptest.Server) {
+	t.Helper()
 	reg := trace.NewRegistry()
 	s, err := server.New(server.Config{
 		MaxConcurrent:    4,
@@ -58,7 +66,16 @@ func rsoakWorker(t *testing.T, seed int64, rt http.RoundTripper) (*trace.Registr
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(s.Handler())
+	if addr != "" {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Listener.Close()
+		ts.Listener = ln
+	}
+	ts.Start()
 	return reg, ts
 }
 
@@ -267,93 +284,6 @@ func TestRepairOnceHealsInjectedDivergence(t *testing.T) {
 	}
 }
 
-// Membership changes are serialized against each other and against the
-// repair loop: concurrent join/retire churn with anti-entropy hammering
-// in the background must leave a consistent ring (race-clean under
-// go test -race), and a repair pass that overlapped a membership change
-// must not have flipped the warm gauge for a ring it never saw.
-func TestMembershipChangesSerializedAgainstRepair(t *testing.T) {
-	const workers = 3
-	urls := make([]string, workers)
-	for i := 0; i < workers; i++ {
-		_, ts := rsoakWorker(t, int64(700+i), nil)
-		defer ts.Close()
-		urls[i] = ts.URL
-	}
-	_, extra := rsoakWorker(t, 777, nil)
-	defer extra.Close()
-
-	co, err := New(Config{
-		Workers:        urls,
-		ProbeInterval:  -1,
-		RepairInterval: -1,
-		HedgeAfter:     -1,
-		ClusterSecret:  rsoakSecret,
-		Metrics:        trace.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	// Seed one entry so repair has keyspace to digest.
-	rsoakPost(t, urls[0]+"/cache/offer", &replica.OfferRequest{Entries: []*replica.Entry{rsoakEntry(9)}}, nil)
-
-	stop := make(chan struct{})
-	var repairWG sync.WaitGroup
-	repairWG.Add(1)
-	go func() {
-		defer repairWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				co.RepairOnce(ctx)
-			}
-		}
-	}()
-	for round := 0; round < 4; round++ {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); co.JoinWorker(ctx, extra.URL) }()
-		go func() { defer wg.Done(); co.RetireWorker(ctx, urls[2]) }()
-		wg.Wait()
-		// Undo, concurrently again, so every round churns both directions.
-		wg.Add(2)
-		go func() { defer wg.Done(); co.RetireWorker(ctx, extra.URL) }()
-		go func() { defer wg.Done(); co.JoinWorker(ctx, urls[2]) }()
-		wg.Wait()
-	}
-	close(stop)
-	repairWG.Wait()
-
-	got := co.Workers()
-	sort.Strings(got)
-	want := append([]string(nil), urls...)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("ring holds %d workers after churn, want %d (%v)", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ring membership after churn = %v, want %v", got, want)
-		}
-	}
-	if gen := co.warmGen.Load(); gen < 16 {
-		t.Fatalf("warm generation %d after 16 membership changes, want ≥16", gen)
-	}
-	// With churn over, a converged pass may restore warmth.
-	deadline := time.Now().Add(10 * time.Second)
-	for co.cfg.Metrics.Gauge(MetricReplicaWarm).Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("warm gauge never restored after churn ended")
-		}
-		co.RepairOnce(ctx)
-	}
-}
-
 func TestSoakReplicaPartitionRejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -464,31 +394,27 @@ func TestSoakReplicaPartitionRejoin(t *testing.T) {
 		}
 	}
 
-	// Kill worker 0 and replace it: retire streams its arcs' entries
-	// between the survivors, join hands the newcomer its keyspace before
-	// the ring flips traffic. Both degrade gracefully — an error means
-	// cold, never refused.
+	// Kill worker 0 and restart it, empty, at the same address: the
+	// coordinator's ring never changes, so the restarted worker owns the
+	// arcs it owned before, and anti-entropy refills it from the
+	// surviving replicas.
+	addr := listeners[0].Listener.Addr().String()
 	listeners[0].Close()
-	if _, err := co.RetireWorker(ctx, urls[0]); err != nil {
-		t.Logf("retire degraded (expected with a dead peer): %v", err)
+	restartReg, restartTS := rsoakWorkerAt(t, 999, transport, addr)
+	defer restartTS.Close()
+	if restartTS.URL != urls[0] {
+		t.Fatalf("restarted worker serves %s, want its old address %s", restartTS.URL, urls[0])
 	}
-	replReg, replTS := rsoakWorker(t, 999, transport)
-	defer replTS.Close()
-	if _, err := co.JoinWorker(ctx, replTS.URL); err != nil {
-		t.Logf("join degraded: %v", err)
-	}
-	repairUntilClean("post-rejoin")
-	if v := reg.Counter(MetricHandoff).Value(); v < 1 {
-		t.Errorf("replica.handoff = %d, want ≥1 (membership changes must stream moved keys)", v)
-	}
-	if got := len(rsoakKeys(t, replTS.URL)); got != want {
-		t.Errorf("replacement holds %d keys after handoff+repair, want %d", got, want)
+	repairUntilClean("post-restart")
+	if got := len(rsoakKeys(t, restartTS.URL)); got != want {
+		t.Errorf("restarted worker holds %d keys after repair, want %d", got, want)
 	}
 
 	// Phase 2: a relabeled duplicate of every pre-kill request. Each
 	// must be a certified 200 served from a cache — the canonical-space
-	// copy survived the kill on the surviving replicas and reached the
-	// replacement — with zero engine re-runs visible as cache misses.
+	// copy survived the kill on the surviving replicas and was repaired
+	// onto the restarted worker — with zero engine re-runs visible as
+	// cache misses.
 	rng := rand.New(rand.NewSource(51))
 	for i, base := range instances {
 		dup := qon.Relabel(base, rng.Perm(base.N()))
@@ -507,23 +433,20 @@ func TestSoakReplicaPartitionRejoin(t *testing.T) {
 		}
 	}
 	var canonicalHits int64
-	for _, r := range append(regs[1:], replReg) {
+	for _, r := range append(regs[1:], restartReg) {
 		canonicalHits += r.Counter(server.MetricCanonicalHits).Value()
 	}
 	if canonicalHits == 0 {
 		t.Error("no canonical cache hits fleet-wide after the kill: recovery did not restore the hit path")
 	}
 
-	// The ring is warm and ready again.
+	// The fleet is ready again.
 	rd, err := c.Readyz(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.Status != http.StatusOK || !rd.Ready || !rd.ReplicaWarm {
-		t.Errorf("/readyz = %d %+v, want 200 ready+warm", rd.Status, rd)
-	}
-	if v := reg.Gauge(MetricReplicaWarm).Value(); v != 1 {
-		t.Errorf("replica.warm gauge = %d, want 1", v)
+	if rd.Status != http.StatusOK || !rd.Ready {
+		t.Errorf("/readyz = %d %+v, want 200 ready", rd.Status, rd)
 	}
 
 	// Repair traffic is priced like retries: attempts beyond the
@@ -542,8 +465,8 @@ func TestSoakReplicaPartitionRejoin(t *testing.T) {
 	if v := reg.Gauge(MetricInFlight).Value(); v != 0 {
 		t.Errorf("inflight gauge %d after the soak drained, want 0", v)
 	}
-	t.Logf("replica soak: %d keys replicated, handoff=%d xfers=%d repaired=%d denied=%d attempts=%d of bound %.0f",
-		want, reg.Counter(MetricHandoff).Value(), xfers,
+	t.Logf("replica soak: %d keys replicated, xfers=%d repaired=%d denied=%d attempts=%d of bound %.0f",
+		want, xfers,
 		reg.Counter(MetricRepairEntries).Value(), reg.Counter(MetricRepairDenied).Value(),
 		attempts, bound)
 }

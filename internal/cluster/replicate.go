@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,24 +17,15 @@ import (
 // Replication orchestration: the coordinator names each forwarded
 // job's replica set (the ring successors of its key) in the
 // X-Replicate-To header — the owning worker fans certified results out
-// asynchronously — and owns the two recovery paths that keep the copy
-// count honest across membership changes and partitions:
-//
-//   - hinted handoff (JoinWorker/RetireWorker): before the ring flips
-//     traffic, the keyspace whose ownership moves is streamed from a
-//     surviving replica to the new owner, bounded by handoffEntries
-//     and handoffTimeout. Serving never blocks on it — a handoff that
-//     fails or exceeds its budget just leaves the warm gauge at 0 for
-//     anti-entropy to finish.
-//   - anti-entropy (StartRepair/RepairOnce): replica pairs exchange
-//     per-vnode key digests; divergent arcs trade key lists and the
-//     missing entries are read-repaired. Every repair transfer
-//     withdraws one token from the global retry budget, so repair
-//     traffic is priced exactly like retries and can never starve
-//     serving.
-
-// errHandoffBudget marks a handoff cut short by handoffEntries.
-var errHandoffBudget = errors.New("cluster: handoff transfer budget exhausted")
+// asynchronously — and owns the recovery path that keeps the copy count
+// honest across partitions and worker restarts: anti-entropy
+// (StartRepair/RepairOnce). Replica pairs exchange per-vnode key
+// digests; divergent arcs trade key lists and the missing entries are
+// read-repaired. Every repair transfer withdraws one token from the
+// global retry budget, so repair traffic is priced exactly like retries
+// and can never starve serving. The ring never changes, so a worker
+// restarted at its address owns the arcs it owned before and is
+// refilled from its replicas.
 
 // replicaPeers names the workers (beyond the serving one) that should
 // hold key's certified result: the first Replicas distinct ring
@@ -53,134 +43,6 @@ func (c *Coordinator) replicaPeers(key, serving string) []string {
 		}
 	}
 	return peers
-}
-
-// JoinWorker adds a worker with hinted handoff: the keyspace arcs the
-// new membership assigns to it are streamed from their current owners
-// first, then the ring flips traffic. It returns the entries streamed.
-// A handoff error (sources unreachable, transfer budget exhausted)
-// still joins the worker — cold, with the warm gauge at 0 until
-// anti-entropy repairs the gap — because a worker the fleet needs now
-// must not wait on a perfect warmup.
-func (c *Coordinator) JoinWorker(ctx context.Context, worker string) (int, error) {
-	// Membership changes are serialized: the ownership delta is computed
-	// from a ring snapshot, and a concurrent change would stream keyspace
-	// against a ring that no longer exists. The generation bump plus the
-	// handoff counter keep a concurrent RepairOnce from flipping the warm
-	// gauge mid-change.
-	c.mmu.Lock()
-	defer c.mmu.Unlock()
-	c.warmGen.Add(1)
-	if c.cfg.Replicas <= 0 || c.ring.Size() == 0 {
-		c.ring.Add(worker)
-		return 0, nil
-	}
-	c.handoffs.Add(1)
-	defer c.handoffs.Add(-1)
-	next := c.ring.Clone()
-	next.Add(worker)
-	delta := OwnershipDelta(c.ring, next)
-	c.setWarm(false)
-	moved, err := c.streamHandoff(ctx, delta, worker, "")
-	c.ring.Add(worker)
-	if err == nil {
-		c.setWarm(true)
-	}
-	return moved, err
-}
-
-// RetireWorker removes a worker with hinted handoff: the arcs it owned
-// are streamed to their new owners from the surviving replicas (never
-// from the retiree, which may already be dead) before the ring drops
-// it. Like JoinWorker, failure degrades to a cold removal plus
-// anti-entropy, never a refusal.
-func (c *Coordinator) RetireWorker(ctx context.Context, worker string) (int, error) {
-	c.mmu.Lock()
-	defer c.mmu.Unlock()
-	c.warmGen.Add(1)
-	c.handoffs.Add(1)
-	defer c.handoffs.Add(-1)
-	next := c.ring.Clone()
-	next.Remove(worker)
-	var moved int
-	var err error
-	if c.cfg.Replicas > 0 && next.Size() > 0 {
-		delta := OwnershipDelta(c.ring, next)
-		c.setWarm(false)
-		moved, err = c.streamHandoff(ctx, delta, "", worker)
-	}
-	c.ring.Remove(worker)
-	c.health.forget(worker)
-	if err == nil {
-		c.setWarm(true)
-	}
-	return moved, err
-}
-
-// streamHandoff streams every moved arc's keys to its new owner:
-// sources are the arc's owners under the current (pre-flip) ring,
-// minus the excluded worker. onlyTo restricts the stream to arcs
-// moving to one destination (join); exclude names a worker never to
-// read from or write to (retire). The first error is reported but the
-// remaining arcs are still attempted — partial warmth beats none.
-func (c *Coordinator) streamHandoff(ctx context.Context, delta []MovedRange, onlyTo, exclude string) (int, error) {
-	hctx, cancel := context.WithTimeout(ctx, handoffTimeout)
-	defer cancel()
-	m := c.cfg.Metrics
-	budget := handoffEntries
-	moved := 0
-	var firstErr error
-	for _, mr := range delta {
-		if onlyTo != "" && mr.To != onlyTo {
-			continue
-		}
-		if mr.To == exclude {
-			continue
-		}
-		if budget <= 0 {
-			m.Counter(MetricHandoffDenied).Inc()
-			if firstErr == nil {
-				firstErr = errHandoffBudget
-			}
-			break
-		}
-		streamed := false
-		var arcErr error
-		for _, src := range c.ring.OwnersAt(mr.Range.Hi, c.cfg.Replicas+1) {
-			if src == exclude || src == mr.To {
-				continue
-			}
-			keys, err := c.fetchKeys(hctx, src, []replica.Range{mr.Range}, budget)
-			if err != nil {
-				arcErr = err
-				continue
-			}
-			if len(keys) == 0 {
-				streamed = true // the arc holds nothing to move
-				break
-			}
-			entries, err := c.fetchExport(hctx, src, keys)
-			if err != nil {
-				arcErr = err
-				continue
-			}
-			n, err := c.sendOffer(hctx, mr.To, entries)
-			if err != nil {
-				arcErr = err
-				continue
-			}
-			moved += n
-			budget -= len(entries)
-			m.Counter(MetricHandoff).Add(int64(n))
-			streamed = true
-			break
-		}
-		if !streamed && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: handoff of arc (%x,%x] to %s found no source: %w",
-				mr.Range.Lo, mr.Range.Hi, mr.To, arcErr)
-		}
-	}
-	return moved, firstErr
 }
 
 // StartRepair launches the background anti-entropy loop; it stops when
@@ -209,17 +71,12 @@ func (c *Coordinator) StartRepair(ctx context.Context) {
 // and the union minus each member's holdings is read-repaired onto it.
 // Each transfer (one export+offer pair) withdraws a retry-budget token
 // first — when the bucket is dry the pass stops and the divergence
-// waits for the next round. A pass that finds every reachable replica
-// converged restores the warm gauge. It reports divergent arcs found
-// and entries repaired.
+// waits for the next round. It reports divergent arcs found and
+// entries repaired.
 func (c *Coordinator) RepairOnce(ctx context.Context) (diverged, repaired int) {
 	if c.cfg.Replicas <= 0 {
 		return 0, 0
 	}
-	// Snapshot the membership generation: if a Join/Retire lands while
-	// this pass runs, its conclusion describes a ring that no longer
-	// exists and must not flip the warm gauge.
-	gen := c.warmGen.Load()
 	m := c.cfg.Metrics
 	m.Counter(MetricRepairRounds).Inc()
 	owned := c.ring.OwnedRanges(c.cfg.Replicas)
@@ -256,7 +113,6 @@ func (c *Coordinator) RepairOnce(ctx context.Context) (diverged, repaired int) {
 		digests[w] = byArc
 	}
 
-	clean := true
 	for i, or := range owned {
 		if len(or.Successors) == 0 {
 			continue
@@ -267,8 +123,7 @@ func (c *Coordinator) RepairOnce(ctx context.Context) (diverged, repaired int) {
 		for _, w := range members {
 			d, ok := digests[w]
 			if !ok {
-				clean = false // can't prove this arc converged
-				continue
+				continue // unreachable this round
 			}
 			reachable++
 			dd := d[i]
@@ -285,15 +140,9 @@ func (c *Coordinator) RepairOnce(ctx context.Context) (diverged, repaired int) {
 		m.Counter(MetricRepairRanges).Inc()
 		n, ok := c.repairArc(ctx, or, members, digests)
 		repaired += n
-		if !ok {
-			clean = false
-			if n == 0 {
-				return diverged, repaired // budget dry: stop the whole pass
-			}
+		if !ok && n == 0 {
+			return diverged, repaired // budget dry: stop the whole pass
 		}
-	}
-	if clean && diverged == 0 && c.handoffs.Load() == 0 && c.warmGen.Load() == gen {
-		c.setWarm(true)
 	}
 	return diverged, repaired
 }
@@ -311,7 +160,7 @@ func (c *Coordinator) repairArc(ctx context.Context, or OwnedRange, members []st
 		if _, ok := digests[w]; !ok {
 			continue // unreachable for digests; don't guess its contents
 		}
-		keys, err := c.fetchKeys(ctx, w, []replica.Range{or.Range}, replica.DefaultMaxOfferEntries)
+		keys, err := c.fetchKeys(ctx, w, or.Range)
 		if err != nil {
 			continue
 		}
@@ -397,10 +246,12 @@ func (c *Coordinator) postJSON(ctx context.Context, worker, path string, in, out
 	return nil
 }
 
-// fetchKeys lists worker's cache keys on the given arcs, up to limit.
-func (c *Coordinator) fetchKeys(ctx context.Context, worker string, ranges []replica.Range, limit int) ([]string, error) {
+// fetchKeys lists worker's cache keys on one arc, up to one offer's
+// worth (replica.DefaultMaxOfferEntries).
+func (c *Coordinator) fetchKeys(ctx context.Context, worker string, arc replica.Range) ([]string, error) {
 	var out replica.KeysResponse
-	if err := c.postJSON(ctx, worker, "/cache/keys", &replica.KeysRequest{Ranges: ranges, Limit: limit}, &out); err != nil {
+	req := &replica.KeysRequest{Ranges: []replica.Range{arc}, Limit: replica.DefaultMaxOfferEntries}
+	if err := c.postJSON(ctx, worker, "/cache/keys", req, &out); err != nil {
 		return nil, err
 	}
 	return out.Keys, nil

@@ -1,17 +1,17 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"approxqo/internal/cluster/replica"
 )
 
 // DefaultVirtualNodes is how many points each worker contributes to the
 // ring. 64 keeps the keyspace split within a few percent of even for
-// small fleets while membership changes stay cheap (a rebuild is
-// O(workers · vnodes · log)).
+// small fleets while the one build stays cheap (O(workers · vnodes ·
+// log)).
 const DefaultVirtualNodes = 64
 
 // Ring is a consistent-hash ring over worker names (base URLs). Keys —
@@ -22,11 +22,13 @@ const DefaultVirtualNodes = 64
 // worker from every coordinator, which is what lets each worker's
 // canonical cache and singleflight dedup relabeled duplicates
 // fleet-wide.
+//
+// A Ring is immutable once built, so it is safe for concurrent use
+// without locking: membership is the worker list the coordinator
+// starts with, for the life of the process.
 type Ring struct {
-	mu     sync.RWMutex
-	vnodes int
-	points []ringPoint // sorted by hash
-	names  map[string]bool
+	points  []ringPoint // sorted by hash
+	workers []string    // distinct members, sorted
 }
 
 type ringPoint struct {
@@ -34,12 +36,28 @@ type ringPoint struct {
 	owner string
 }
 
-// NewRing builds an empty ring; vnodes ≤ 0 means DefaultVirtualNodes.
-func NewRing(vnodes int) *Ring {
+// NewRing builds the ring over workers, ignoring duplicates; vnodes ≤ 0
+// means DefaultVirtualNodes.
+func NewRing(workers []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	return &Ring{vnodes: vnodes, names: make(map[string]bool)}
+	ws := slices.Clone(workers)
+	slices.Sort(ws)
+	r := &Ring{workers: slices.Compact(ws)}
+	r.points = make([]ringPoint, 0, len(r.workers)*vnodes)
+	for _, w := range r.workers {
+		for i := 0; i < vnodes; i++ {
+			r.points = append(r.points, ringPoint{ringHash(w + "#" + strconv.Itoa(i)), w})
+		}
+	}
+	sort.Slice(r.points, func(a, b int) bool {
+		if r.points[a].hash != r.points[b].hash {
+			return r.points[a].hash < r.points[b].hash
+		}
+		return r.points[a].owner < r.points[b].owner // deterministic on (vanishingly rare) collisions
+	})
+	return r
 }
 
 // ringHash is replica.KeyHash: the single keyspace definition shared
@@ -48,111 +66,11 @@ func NewRing(vnodes int) *Ring {
 // ring would route there.
 func ringHash(s string) uint64 { return replica.KeyHash(s) }
 
-// Add inserts a worker; adding an existing worker is a no-op.
-func (r *Ring) Add(worker string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.names[worker] {
-		return
-	}
-	r.names[worker] = true
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{ringHash(worker + "#" + strconv.Itoa(i)), worker})
-	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
-		}
-		return r.points[a].owner < r.points[b].owner // deterministic on (vanishingly rare) collisions
-	})
-}
-
-// Remove deletes a worker; removing an unknown worker is a no-op.
-func (r *Ring) Remove(worker string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.names[worker] {
-		return
-	}
-	delete(r.names, worker)
-	keep := r.points[:0]
-	for _, p := range r.points {
-		if p.owner != worker {
-			keep = append(keep, p)
-		}
-	}
-	r.points = keep
-}
-
-// Workers lists the current members, sorted.
-func (r *Ring) Workers() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.names))
-	for w := range r.names {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
+// Workers lists the members, sorted.
+func (r *Ring) Workers() []string { return slices.Clone(r.workers) }
 
 // Size reports the number of members.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.names)
-}
-
-// Clone returns an independent copy of the ring — the shadow membership
-// the coordinator mutates to compute ownership deltas before flipping
-// live traffic. The points slice is deep-copied because Remove
-// truncates its backing array in place.
-func (r *Ring) Clone() *Ring {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	cp := &Ring{vnodes: r.vnodes, names: make(map[string]bool, len(r.names))}
-	cp.points = append([]ringPoint(nil), r.points...)
-	for w := range r.names {
-		cp.names[w] = true
-	}
-	return cp
-}
-
-// ownerAt returns the worker owning ring position h (the owner of the
-// first point clockwise from h), or "" on an empty ring. Callers hold
-// at least a read lock.
-func (r *Ring) ownerAt(h uint64) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	return r.points[i%len(r.points)].owner
-}
-
-// OwnersAt returns up to n distinct workers responsible for ring
-// position h, primary first — Lookup with the hash already in hand
-// (handoff works range by range, not key by key).
-func (r *Ring) OwnersAt(h uint64, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil
-	}
-	if n <= 0 || n > len(r.names) {
-		n = len(r.names)
-	}
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.owner] {
-			seen[p.owner] = true
-			out = append(out, p.owner)
-		}
-	}
-	return out
-}
+func (r *Ring) Size() int { return len(r.workers) }
 
 // OwnedRange is one vnode arc of the ring with its owner and the
 // distinct successor workers holding the arc's replicas.
@@ -168,8 +86,6 @@ type OwnedRange struct {
 // across. A single point (impossible in practice: every worker carries
 // vnodes points) would own the full circle via the Lo==Hi convention.
 func (r *Ring) OwnedRanges(successors int) []OwnedRange {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	n := len(r.points)
 	if n == 0 {
 		return nil
@@ -197,68 +113,15 @@ func (r *Ring) OwnedRanges(successors int) []OwnedRange {
 	return out
 }
 
-// MovedRange is one arc of the keyspace whose primary owner differs
-// between two ring memberships.
-type MovedRange struct {
-	Range    replica.Range
-	From, To string
-}
-
-// OwnershipDelta computes exactly the keyspace whose primary ownership
-// changes between two memberships — the arcs hinted handoff must
-// stream, and nothing else (the property test pins both directions).
-// The boundaries are the union of both rings' points: within each
-// consecutive arc both rings' ownership is constant, so comparing the
-// owners at the arc's top classifies every key in it at once. Either
-// ring empty means no delta to stream.
-func OwnershipDelta(oldRing, newRing *Ring) []MovedRange {
-	if oldRing == nil || newRing == nil {
-		return nil
-	}
-	oldRing.mu.RLock()
-	newRing.mu.RLock()
-	defer oldRing.mu.RUnlock()
-	defer newRing.mu.RUnlock()
-	if len(oldRing.points) == 0 || len(newRing.points) == 0 {
-		return nil
-	}
-	bounds := make([]uint64, 0, len(oldRing.points)+len(newRing.points))
-	for _, p := range oldRing.points {
-		bounds = append(bounds, p.hash)
-	}
-	for _, p := range newRing.points {
-		bounds = append(bounds, p.hash)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	dedup := bounds[:0]
-	for i, b := range bounds {
-		if i == 0 || b != dedup[len(dedup)-1] {
-			dedup = append(dedup, b)
-		}
-	}
-	bounds = dedup
-	var out []MovedRange
-	for i, hi := range bounds {
-		lo := bounds[(i-1+len(bounds))%len(bounds)]
-		from, to := oldRing.ownerAt(hi), newRing.ownerAt(hi)
-		if from != to {
-			out = append(out, MovedRange{Range: replica.Range{Lo: lo, Hi: hi}, From: from, To: to})
-		}
-	}
-	return out
-}
-
 // Lookup returns up to n distinct workers for key, primary first, then
 // successive replicas walking the ring clockwise. n ≤ 0 or n > members
 // returns every member. An empty ring returns nil.
 func (r *Ring) Lookup(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return nil
 	}
-	if n <= 0 || n > len(r.names) {
-		n = len(r.names)
+	if n <= 0 || n > len(r.workers) {
+		n = len(r.workers)
 	}
 	h := ringHash(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

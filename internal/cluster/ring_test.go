@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"approxqo/internal/cluster/replica"
 )
 
 func ringWorkers(n int) []string {
@@ -17,10 +15,7 @@ func ringWorkers(n int) []string {
 }
 
 func TestRingLookupIsDeterministicAndDistinct(t *testing.T) {
-	r := NewRing(0)
-	for _, w := range ringWorkers(8) {
-		r.Add(w)
-	}
+	r := NewRing(ringWorkers(8), 0)
 	for _, key := range []string{"qon:fp-a", "qon:fp-b", "qoh:fp-c", ""} {
 		first := r.Lookup(key, 0)
 		if len(first) != 8 {
@@ -47,52 +42,44 @@ func TestRingLookupIsDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// Property test of consistent hashing across two memberships that
+// differ by one worker: every key whose owner is in both memberships
+// keeps its owner, and only the dropped worker's keys move.
 func TestRingMembershipChangeMovesOnlyAffectedKeys(t *testing.T) {
-	r := NewRing(0)
-	workers := ringWorkers(8)
-	for _, w := range workers {
-		r.Add(w)
-	}
-	keys := make([]string, 500)
-	before := make([]string, len(keys))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("qon:fp-%d", i)
-		before[i] = r.Lookup(keys[i], 1)[0]
-	}
-	removed := workers[3]
-	r.Remove(removed)
-	moved := 0
-	for i, key := range keys {
-		now := r.Lookup(key, 1)[0]
-		if now == removed {
-			t.Fatalf("key %q still routes to the removed worker", key)
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		all := ringWorkers(3 + rng.Intn(6))
+		removed := all[rng.Intn(len(all))]
+		var rest []string
+		for _, w := range all {
+			if w != removed {
+				rest = append(rest, w)
+			}
 		}
-		if before[i] == removed {
-			continue // had to move
+		full, less := NewRing(all, 0), NewRing(rest, 0)
+		moved := 0
+		for k := 0; k < 2000; k++ {
+			key := fmt.Sprintf("qon:key-%d-%d", trial, k)
+			before, after := full.Lookup(key, 1)[0], less.Lookup(key, 1)[0]
+			if after == removed {
+				t.Fatalf("trial %d: key %q routes to the removed worker", trial, key)
+			}
+			if before == removed {
+				moved++
+				continue // had to move
+			}
+			if after != before {
+				t.Fatalf("trial %d: key %q owned by surviving worker %s moved to %s", trial, key, before, after)
+			}
 		}
-		if now != before[i] {
-			moved++
-		}
-	}
-	// Consistent hashing's whole point: keys not owned by the removed
-	// worker stay put.
-	if moved != 0 {
-		t.Errorf("%d key(s) whose owner survived were reassigned anyway", moved)
-	}
-	// And re-adding restores the original assignment exactly.
-	r.Add(removed)
-	for i, key := range keys {
-		if now := r.Lookup(key, 1)[0]; now != before[i] {
-			t.Errorf("key %q routes to %s after re-add, originally %s", key, now, before[i])
+		if moved == 0 {
+			t.Fatalf("trial %d: no key was owned by %s among %d workers", trial, removed, len(all))
 		}
 	}
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
-	for _, w := range ringWorkers(8) {
-		r.Add(w)
-	}
+	r := NewRing(ringWorkers(8), 0)
 	counts := map[string]int{}
 	const keys = 8000
 	for i := 0; i < keys; i++ {
@@ -106,89 +93,19 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// An empty ring routes nowhere; a repeated worker is one member.
 func TestRingEmptyAndIdempotent(t *testing.T) {
-	r := NewRing(4)
-	if got := r.Lookup("k", 1); got != nil {
+	if got := NewRing(nil, 4).Lookup("k", 1); got != nil {
 		t.Errorf("empty ring Lookup = %v, want nil", got)
 	}
-	r.Add("http://w:1")
-	r.Add("http://w:1")
+	r := NewRing([]string{"http://w:1", "http://w:1"}, 4)
 	if r.Size() != 1 {
-		t.Errorf("double Add yields size %d, want 1", r.Size())
+		t.Errorf("duplicate worker yields size %d, want 1", r.Size())
 	}
-	r.Remove("http://unknown:2")
-	r.Remove("http://w:1")
-	r.Remove("http://w:1")
-	if r.Size() != 0 || r.Lookup("k", 1) != nil {
-		t.Errorf("ring not empty after removals: size %d", r.Size())
+	if got := r.Lookup("k", 0); len(got) != 1 || got[0] != "http://w:1" {
+		t.Errorf("single-member Lookup = %v, want [http://w:1]", got)
 	}
-}
-
-// Property test of the handoff planner: OwnershipDelta(old, new)
-// returns exactly the moved keyspace — every key whose owner changed
-// falls in exactly one returned arc, labelled with its old and new
-// owner, and no key whose owner is unchanged falls in any arc.
-func TestOwnershipDeltaIsExactlyTheMovedKeyspace(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		old := NewRing(0)
-		members := 3 + rng.Intn(6)
-		for _, w := range ringWorkers(members) {
-			old.Add(w)
-		}
-		next := old.Clone()
-		// Random membership churn: 1-2 joins and/or up to one removal.
-		for j := 0; j <= rng.Intn(2); j++ {
-			next.Add(fmt.Sprintf("http://joiner-%d-%d:9", trial, j))
-		}
-		if rng.Intn(2) == 0 {
-			next.Remove(ringWorkers(members)[rng.Intn(members)])
-		}
-
-		delta := OwnershipDelta(old, next)
-		for k := 0; k < 2000; k++ {
-			key := fmt.Sprintf("qon:key-%d-%d", trial, k)
-			h := replica.KeyHash(key)
-			var matches []MovedRange
-			for _, mr := range delta {
-				if mr.Range.Contains(h) {
-					matches = append(matches, mr)
-				}
-			}
-			oldOwner := old.Lookup(key, 1)[0]
-			newOwner := next.Lookup(key, 1)[0]
-			if oldOwner == newOwner {
-				if len(matches) != 0 {
-					t.Fatalf("trial %d: unmoved key %q (owner %s) matched %d delta arcs: %+v",
-						trial, key, oldOwner, len(matches), matches)
-				}
-				continue
-			}
-			if len(matches) != 1 {
-				t.Fatalf("trial %d: moved key %q (%s → %s) matched %d delta arcs, want exactly 1",
-					trial, key, oldOwner, newOwner, len(matches))
-			}
-			if matches[0].From != oldOwner || matches[0].To != newOwner {
-				t.Fatalf("trial %d: key %q arc labelled %s → %s, ring says %s → %s",
-					trial, key, matches[0].From, matches[0].To, oldOwner, newOwner)
-			}
-		}
-	}
-}
-
-// Identical rings and empty rings produce no delta.
-func TestOwnershipDeltaDegenerateCases(t *testing.T) {
-	r := NewRing(0)
-	for _, w := range ringWorkers(4) {
-		r.Add(w)
-	}
-	if d := OwnershipDelta(r, r.Clone()); len(d) != 0 {
-		t.Fatalf("identical rings produced a %d-arc delta: %+v", len(d), d)
-	}
-	if d := OwnershipDelta(NewRing(0), r); d != nil {
-		t.Fatalf("empty old ring produced a delta: %+v", d)
-	}
-	if d := OwnershipDelta(r, NewRing(0)); d != nil {
-		t.Fatalf("empty new ring produced a delta: %+v", d)
+	if got := len(r.OwnedRanges(0)); got != 4 {
+		t.Errorf("single-member ring has %d arcs, want 4 (one per vnode)", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Coordinator chaos soak: a fleet of loadgen clients hammers a
 // coordinator over three real qod workers while the network path
 // injects drop/5xx/reset/truncate/delay faults at a low rate AND one
-// worker is killed and replaced mid-load (a live ring-membership
-// change). The contract under test is the cluster's core promise:
+// worker is killed mid-load. The ring keeps the dead worker, so its
+// keys fail over to their ring successors while the health board marks
+// it down. The contract under test is the cluster's core promise:
 // every 200 relayed to a client is a certified, permutation-valid
 // plan; every failure is a structured document; upstream attempts stay
 // inside the retry budget's amplification bound; relabeled duplicates
@@ -231,19 +232,13 @@ func TestSoakCoordinatorChaosWithWorkerKill(t *testing.T) {
 		}(i)
 	}
 
-	// Kill worker 0 mid-load and replace it: a live membership change
-	// under fire. Add the replacement before removing the casualty so
-	// the ring never empties a shard's replica chain.
+	// Kill worker 0 mid-load without touching the ring: its keys must
+	// fail over to the successors under fire.
 	select {
 	case <-killGate:
 	case <-ctx.Done():
 		t.Fatal("soak stalled before the kill point")
 	}
-	replacement, replacementTS := csoakWorker(t, 999)
-	defer replacementTS.Close()
-	_ = replacement
-	co.AddWorker(replacementTS.URL)
-	co.RemoveWorker(urls[0])
 	killed.Store(true)
 	listeners[0].Close()
 
@@ -268,15 +263,7 @@ func TestSoakCoordinatorChaosWithWorkerKill(t *testing.T) {
 		t.Fatal("soak produced zero successful responses")
 	}
 	if postKillOKs.Load() == 0 {
-		t.Error("no successes after the worker kill: the fleet did not absorb the membership change")
-	}
-	if got := co.Workers(); len(got) != csoakWorkers {
-		t.Errorf("ring has %d workers after the swap, want %d", len(got), csoakWorkers)
-	}
-	for _, w := range co.Workers() {
-		if w == urls[0] {
-			t.Error("killed worker still in the ring")
-		}
+		t.Error("no successes after the worker kill: failover did not absorb the dead worker")
 	}
 
 	// Relabeled duplicates route to one shard: the ring key is a pure
@@ -302,14 +289,15 @@ func TestSoakCoordinatorChaosWithWorkerKill(t *testing.T) {
 
 	// Retry amplification stays inside the token-bucket bound: every
 	// upstream POST beyond the per-request/per-group primary was paid
-	// for by the budget.
+	// for by the budget (deposits + burst + refunded hedge losers).
 	requests := reg.Counter(MetricRequests).Value()
 	groups := reg.Counter(MetricBatchShapes).Value()
 	attempts := reg.Counter(MetricAttempts).Value()
-	bound := float64(requests+groups)*(1+DefaultRetryRatio) + DefaultRetryBurst
+	refunded := reg.Counter(MetricRetryRefunded).Value()
+	bound := float64(requests+groups)*(1+DefaultRetryRatio) + DefaultRetryBurst + float64(refunded)
 	if float64(attempts) > bound+1 {
-		t.Errorf("attempts=%d exceeds the budget bound %.0f (requests=%d groups=%d)",
-			attempts, bound, requests, groups)
+		t.Errorf("attempts=%d exceeds the budget bound %.0f (requests=%d groups=%d refunded=%d)",
+			attempts, bound, requests, groups, refunded)
 	}
 	issued := reg.Counter(MetricHedgeIssued).Value()
 	wins := reg.Counter(MetricHedgeWins).Value()
@@ -319,11 +307,17 @@ func TestSoakCoordinatorChaosWithWorkerKill(t *testing.T) {
 	if issued > attempts {
 		t.Errorf("hedge.issued=%d > attempts=%d", issued, attempts)
 	}
+	// A handler drops the gauge on its deferred exit, which can run just
+	// after its client has read a Content-Length body in full (batch
+	// responses): wait for the drain, so only a leaked count fails.
+	for deadline := time.Now().Add(5 * time.Second); reg.Gauge(MetricInFlight).Value() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if v := reg.Gauge(MetricInFlight).Value(); v != 0 {
 		t.Errorf("inflight gauge %d after the fleet drained, want 0", v)
 	}
-	t.Logf("soak: %d responses (%d ok, %d rejected, %d cached, %d post-kill ok); attempts=%d of bound %.0f; hedges %d issued / %d won; retries=%d denied=%d",
+	t.Logf("soak: %d responses (%d ok, %d rejected, %d cached, %d post-kill ok); attempts=%d of bound %.0f (refunded %d); hedges %d issued / %d won; retries=%d denied=%d",
 		total, oks.Load(), rejected.Load(), cacheHits.Load(), postKillOKs.Load(),
-		attempts, bound, issued, wins,
+		attempts, bound, refunded, issued, wins,
 		reg.Counter(MetricRetries).Value(), reg.Counter(MetricRetryDenied).Value())
 }

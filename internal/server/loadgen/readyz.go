@@ -10,14 +10,12 @@ import (
 
 // ReadyState is the decoded /readyz of a worker or coordinator: the
 // common readiness fields both shapes share, plus the raw document for
-// callers that want the rest (engine health, per-worker states). The
-// replica_warm field is coordinator-only; workers leave it false.
+// callers that want the rest (engine health, per-worker states).
 type ReadyState struct {
-	Status      int             `json:"-"`
-	Ready       bool            `json:"ready"`
-	Draining    bool            `json:"draining"`
-	ReplicaWarm bool            `json:"replica_warm"`
-	Raw         json.RawMessage `json:"-"`
+	Status   int             `json:"-"`
+	Ready    bool            `json:"ready"`
+	Draining bool            `json:"draining"`
+	Raw      json.RawMessage `json:"-"`
 }
 
 // Readyz GETs the target's /readyz once — no retries: readiness is a

@@ -19,15 +19,14 @@ import (
 // cache store fans the entry out to them asynchronously (off the
 // request path, bounded concurrency, best effort — anti-entropy repairs
 // what a partition drops). The /cache/* endpoints are the receiving
-// half plus the introspection surface handoff and anti-entropy pull
-// from:
+// half plus the introspection surface anti-entropy repair pulls from:
 //
 //	POST /cache/offer  — accept entries, re-validated at the trust
 //	                     boundary exactly like coordinator-side worker
 //	                     200s (certified, cost present, permutation-valid)
 //	POST /cache/digest — per-range key digests (anti-entropy compare)
-//	POST /cache/keys   — keys on given ring ranges (handoff/repair diff)
-//	POST /cache/export — full entries by key (handoff/repair source)
+//	POST /cache/keys   — keys on given ring ranges (repair diff)
+//	POST /cache/export — full entries by key (repair source)
 //
 // The whole surface is authenticated: every /cache/* request must carry
 // the cluster's shared secret (replica.AuthHeader), and the fan-out
@@ -185,7 +184,7 @@ func (s *Server) cacheEndpointGate(w http.ResponseWriter, r *http.Request) ([]by
 // handleCacheOffer is POST /cache/offer: decode, re-validate each
 // entry at the trust boundary, store the survivors. Per-entry
 // rejection (not body-level) so one corrupted entry cannot void a
-// handoff chunk.
+// repair chunk.
 func (s *Server) handleCacheOffer(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.cacheEndpointGate(w, r)
 	if !ok {
@@ -276,7 +275,7 @@ func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheExport is POST /cache/export: full entries by key for
-// handoff and read repair. Absent keys are omitted, not errors.
+// read repair. Absent keys are omitted, not errors.
 func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.cacheEndpointGate(w, r)
 	if !ok {

@@ -158,7 +158,7 @@ func TestCacheEndpointsDisabledCache(t *testing.T) {
 
 // digest/keys/export round trip: digests over the full ring reflect
 // the stored key set, keys enumerate it, export returns entries that
-// re-validate — the handoff/repair pull path end to end.
+// re-validate — the repair pull path end to end.
 func TestCacheDigestKeysExportRoundTrip(t *testing.T) {
 	s, err := New(Config{MaxConcurrent: 2, ClusterSecret: testClusterSecret})
 	if err != nil {

@@ -480,7 +480,9 @@ func TestQueueDeadline(t *testing.T) {
 		postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":5000}}`)
 		close(done)
 	}()
-	waitFor(t, func() bool { return s.InFlight() == 1 })
+	// Wait for the worker slot, not admission: a first request still
+	// decoding its body would let the 60 ms request take the slot.
+	waitFor(t, func() bool { return len(s.slots) == 1 })
 
 	resp, data := postJSON(t, ts.URL, `{"job":{"workload":{"shape":"chain","n":5},"timeout_ms":60}}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
