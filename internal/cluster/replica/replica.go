@@ -289,11 +289,10 @@ func DigestRanges(keys []string, ranges []Range) []RangeDigest {
 }
 
 // KeysRequest is the body of POST /cache/keys: list the cache keys
-// falling in the given ranges, up to Limit (≤ 0 means
-// DefaultMaxOfferEntries).
+// falling on one ring arc, up to one offer's worth
+// (DefaultMaxOfferEntries). The zero Range is the full circle.
 type KeysRequest struct {
-	Ranges []Range `json:"ranges"`
-	Limit  int     `json:"limit,omitempty"`
+	Range Range `json:"range"`
 }
 
 // KeysResponse answers a KeysRequest.

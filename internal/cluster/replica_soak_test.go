@@ -139,8 +139,7 @@ func rsoakPost(t *testing.T, url string, in, out any) {
 func rsoakKeys(t *testing.T, worker string) []string {
 	t.Helper()
 	var out replica.KeysResponse
-	rsoakPost(t, worker+"/cache/keys",
-		&replica.KeysRequest{Ranges: []replica.Range{{Lo: 0, Hi: 0}}, Limit: replica.DefaultMaxOfferEntries}, &out)
+	rsoakPost(t, worker+"/cache/keys", &replica.KeysRequest{}, &out) // the full circle
 	return out.Keys
 }
 

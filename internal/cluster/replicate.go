@@ -250,7 +250,7 @@ func (c *Coordinator) postJSON(ctx context.Context, worker, path string, in, out
 // worth (replica.DefaultMaxOfferEntries).
 func (c *Coordinator) fetchKeys(ctx context.Context, worker string, arc replica.Range) ([]string, error) {
 	var out replica.KeysResponse
-	req := &replica.KeysRequest{Ranges: []replica.Range{arc}, Limit: replica.DefaultMaxOfferEntries}
+	req := &replica.KeysRequest{Range: arc}
 	if err := c.postJSON(ctx, worker, "/cache/keys", req, &out); err != nil {
 		return nil, err
 	}

@@ -28,7 +28,6 @@ func TestRunSurvivesEveryFault(t *testing.T) {
 		chaos.FaultError,
 	}
 	for _, fault := range faults {
-		fault := fault
 		t.Run(string(fault), func(t *testing.T) {
 			t.Parallel()
 			in := randomInstance(7, 0.7, 11)

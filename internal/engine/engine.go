@@ -49,11 +49,6 @@ import (
 	"approxqo/internal/trace"
 )
 
-// Stats is the per-run instrumentation collector threaded through the
-// cost models (an alias of the leaf stats package's type, re-exported
-// here as part of the engine API).
-type Stats = stats.Stats
-
 // DefaultGrace is how long the engine waits, after the governing
 // context ends, for runs to deliver their best-so-far results before
 // abandoning them.
@@ -290,69 +285,6 @@ type job struct {
 	sink *stats.Stats
 }
 
-// runState is the per-run supervision state the engine pools across
-// requests: the job slab with its stats sinks, the outcome channel, the
-// per-optimizer spans, the finished bitmap and the merge arrivals. One
-// runState is owned by exactly one supervise call; it is returned to
-// the pool only when every run goroutine has delivered its outcome. A
-// run that abandons a straggler retains the state instead — the
-// abandoned goroutine still writes its sink and may yet send on the
-// results channel, and handing either to the next request would be a
-// cross-request bleed (see DESIGN § Pooled request lifecycle).
-type runState struct {
-	jobs     []*job
-	jobSlab  []job
-	sinks    []stats.Stats
-	results  chan outcome
-	optSpans []*trace.Span
-	finished []bool
-	arrivals []arrival
-}
-
-var runStatePool = sync.Pool{New: func() any { return &runState{} }}
-
-// getRunState returns a runState sized for n jobs with sinks reset and
-// job slots zeroed.
-func getRunState(n int) *runState {
-	st := runStatePool.Get().(*runState)
-	if cap(st.jobs) < n {
-		st.jobs = make([]*job, n)
-		st.jobSlab = make([]job, n)
-		st.sinks = make([]stats.Stats, n)
-		st.optSpans = make([]*trace.Span, n)
-		st.finished = make([]bool, n)
-	}
-	st.jobs = st.jobs[:n]
-	st.jobSlab = st.jobSlab[:n]
-	st.sinks = st.sinks[:n]
-	st.optSpans = st.optSpans[:n]
-	st.finished = st.finished[:n]
-	for i := 0; i < n; i++ {
-		st.jobSlab[i] = job{}
-		st.sinks[i].Reset()
-		st.jobs[i] = &st.jobSlab[i]
-		st.optSpans[i] = nil
-		st.finished[i] = false
-	}
-	// The channel is reused only when the previous run drained it
-	// completely; an abandoned run retains its whole state, channel
-	// included, so a late send can never reach a later request.
-	if st.results == nil || cap(st.results) < n {
-		st.results = make(chan outcome, n)
-	}
-	st.arrivals = st.arrivals[:0]
-	return st
-}
-
-// putRunState drops the closures (so pooled state never pins an
-// instance past its request) and returns the state to the pool.
-func putRunState(st *runState) {
-	for i := range st.jobSlab {
-		st.jobSlab[i] = job{}
-	}
-	runStatePool.Put(st)
-}
-
 // Run executes the optimizers concurrently over in, audits every
 // result through the certification gate, and merges the surviving
 // results cheapest-first. It returns a Report whenever the ensemble is
@@ -360,11 +292,6 @@ func putRunState(st *runState) {
 // certified result (all failed, panicked, were quarantined, or were
 // abandoned resultless). The Report is returned alongside the error so
 // failed runs can still be inspected.
-//
-// The Report's buffers are pooled: callers that are done with it may
-// call Report.Release to recycle them, and must Detach before storing
-// it anywhere that outlives the request. Callers that do neither are
-// still correct — an unreleased Report is ordinary garbage.
 func (e *Engine) Run(ctx context.Context, in *qon.Instance, optimizers ...opt.Optimizer) (*Report, error) {
 	if in == nil {
 		return nil, ErrNilInstance
@@ -375,12 +302,12 @@ func (e *Engine) Run(ctx context.Context, in *qon.Instance, optimizers ...opt.Op
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: context done before any run started: %w", err)
 	}
-	st := getRunState(len(optimizers))
+	jobs := make([]job, len(optimizers))
+	sinks := make([]stats.Stats, len(optimizers))
 	for i, o := range optimizers {
-		o := o
-		sink := &st.sinks[i]
+		sink := &sinks[i]
 		instrumented := in.WithStats(sink)
-		j := st.jobs[i]
+		j := &jobs[i]
 		j.name = o.Name()
 		j.sink = sink
 		j.run = func(ctx context.Context) (*jobResult, error) {
@@ -398,7 +325,7 @@ func (e *Engine) Run(ctx context.Context, in *qon.Instance, optimizers ...opt.Op
 			return err
 		}
 	}
-	report, best := e.supervise(ctx, "qon", st)
+	report, best := e.supervise(ctx, "qon", jobs)
 	report.Model = "qon"
 	report.N = in.N()
 	report.Best = best
@@ -520,12 +447,10 @@ type arrival struct {
 // it carries a metrics registry, the supervisor — and only the
 // supervisor — absorbs each run's stats snapshot and outcome into it,
 // so aggregate reads never race the optimizer goroutines.
-func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Report, *BestRecord) {
+func (e *Engine) supervise(ctx context.Context, model string, jobs []job) (*Report, *BestRecord) {
 	started := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	jobs := st.jobs
 
 	rootSpan := e.tracer.Start("engine.run")
 	rootSpan.SetField("model", model)
@@ -535,16 +460,16 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 	// Per-optimizer spans are opened by the supervisor (not the run
 	// goroutines) so abandoned runs still have a span to report in the
 	// record; the goroutine only adds children to it.
-	optSpans := st.optSpans
-	for i, j := range jobs {
-		optSpans[i] = rootSpan.ChildTrack("optimizer:"+j.name, i+1)
+	optSpans := make([]*trace.Span, len(jobs))
+	for i := range jobs {
+		optSpans[i] = rootSpan.ChildTrack("optimizer:"+jobs[i].name, i+1)
 	}
 
 	// Buffered so abandoned goroutines can deliver late and exit
 	// instead of leaking blocked forever.
-	results := st.results
-	for i, j := range jobs {
-		i, j := i, j
+	results := make(chan outcome, len(jobs))
+	for i := range jobs {
+		j := &jobs[i]
 		go func() {
 			start := time.Now()
 			var oc outcome
@@ -567,14 +492,13 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 		}()
 	}
 
-	report := newReport(len(jobs))
+	report := &Report{Runs: make([]RunRecord, len(jobs))}
 	records := report.Runs
-	finished := st.finished
-	for i, j := range jobs {
-		records[i].Name = j.name
+	finished := make([]bool, len(jobs))
+	for i := range jobs {
+		records[i].Name = jobs[i].name
 	}
-	arrivals := st.arrivals
-	abandoned := false
+	var arrivals []arrival
 	grace := e.grace
 	if grace <= 0 {
 		grace = DefaultGrace
@@ -670,7 +594,6 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 				if finished[i] {
 					continue
 				}
-				abandoned = true
 				rec := &records[i]
 				rec.SpanID = optSpans[i].ID()
 				rec.WallMS = float64(time.Since(started).Microseconds()) / 1000
@@ -713,14 +636,6 @@ func (e *Engine) supervise(ctx context.Context, model string, st *runState) (*Re
 	rootSpan.SetField("quarantined", len(report.Quarantined))
 	rootSpan.End()
 	e.recordHealth(records, best != nil)
-	// Recycle the supervision state — but only when every goroutine has
-	// delivered. An abandoned run keeps writing its sink and may still
-	// send on the results channel; its state is forfeited to the GC, so
-	// a later request can never observe this run's leftovers.
-	st.arrivals = arrivals[:0]
-	if !abandoned {
-		putRunState(st)
-	}
 	return report, best
 }
 
@@ -740,7 +655,7 @@ func mergeBeats(a, b arrival) bool {
 }
 
 // bestRecord builds the winning-plan record for a certified result.
-func (e *Engine) bestRecord(jobs []*job, idx int, res *jobResult) *BestRecord {
+func (e *Engine) bestRecord(jobs []job, idx int, res *jobResult) *BestRecord {
 	return &BestRecord{
 		Winner:    jobs[idx].name,
 		Sequence:  res.seq,

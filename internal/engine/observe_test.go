@@ -138,7 +138,6 @@ func TestConcurrentRunsSharedObservability(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < concurrentRuns; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

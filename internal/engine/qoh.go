@@ -8,6 +8,7 @@ import (
 	"approxqo/internal/certify"
 	"approxqo/internal/opt"
 	"approxqo/internal/qoh"
+	"approxqo/internal/stats"
 )
 
 // QOHSearcher is one QO_H plan-search strategy the engine can
@@ -56,13 +57,13 @@ func (e *Engine) RunQOH(ctx context.Context, in *qoh.Instance, searchers ...QOHS
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: context done before any run started: %w", err)
 	}
-	st := getRunState(len(searchers))
+	jobs := make([]job, len(searchers))
+	sinks := make([]stats.Stats, len(searchers))
 	for i, s := range searchers {
-		s := s
-		sink := &st.sinks[i]
+		sink := &sinks[i]
 		instrumented := in.WithStats(sink)
 		exact := s.Name == "qoh-exhaustive"
-		j := st.jobs[i]
+		j := &jobs[i]
 		j.name = s.Name
 		j.sink = sink
 		j.run = func(ctx context.Context) (*jobResult, error) {
@@ -80,7 +81,7 @@ func (e *Engine) RunQOH(ctx context.Context, in *qoh.Instance, searchers ...QOHS
 			return err
 		}
 	}
-	report, best := e.supervise(ctx, "qoh", st)
+	report, best := e.supervise(ctx, "qoh", jobs)
 	report.Model = "qoh"
 	report.N = in.N()
 	report.Best = best

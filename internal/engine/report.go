@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"text/tabwriter"
 
 	"approxqo/internal/certify"
@@ -128,21 +127,7 @@ type Report struct {
 	// SpanID identifies the engine.run root span when the run was
 	// traced (engine.WithTracer); zero otherwise.
 	SpanID uint64 `json:"span_id,omitempty"`
-
-	// pooled marks a Report whose Runs/Quarantined/Skipped backing
-	// arrays came from reportPool; released guards against double
-	// Release. Both are engine-internal: JSON never sees them, and a
-	// Report built or decoded elsewhere has pooled == false, making
-	// Release a no-op. See Release for the ownership contract.
-	pooled   bool
-	released bool
 }
-
-// reportPool recycles Report values and their record buffers across
-// engine runs: one serving request costs one Report, one RunRecord per
-// optimizer and the quarantine/skip lists, all of which are
-// request-scoped garbage without pooling.
-var reportPool = sync.Pool{New: func() any { return &Report{} }}
 
 // AuditExact re-checks the report's exactness claim against its own
 // runs (certify.ExactBest): an exact winner must not cost more than any
@@ -198,82 +183,6 @@ func (r *Report) CheckServed(n int) error {
 		seen[v] = true
 	}
 	return r.AuditExact()
-}
-
-// newReport returns a pooled Report with Runs sized (and zeroed) for n
-// runs and every other field reset.
-func newReport(n int) *Report {
-	r := reportPool.Get().(*Report)
-	runs, quarantined, skipped := r.Runs, r.Quarantined, r.Skipped
-	*r = Report{pooled: true}
-	if cap(runs) < n {
-		runs = make([]RunRecord, n)
-	} else {
-		runs = runs[:n]
-		for i := range runs {
-			runs[i] = RunRecord{}
-		}
-	}
-	r.Runs = runs
-	if quarantined != nil {
-		r.Quarantined = quarantined[:0]
-	}
-	if skipped != nil {
-		r.Skipped = skipped[:0]
-	}
-	return r
-}
-
-// Release returns a pool-born Report's buffers to the engine's report
-// pool. The ownership contract (see DESIGN § Pooled request lifecycle):
-// a Report returned by Engine.Run/RunQOH is owned by the caller until
-// Release; after Release the Report and everything reachable from it —
-// Runs, Best, Quarantined, Skipped, and any view built over them — must
-// not be touched. Callers that hand a Report to something longer-lived
-// than the request (a cache, a replication queue) must store a Detach
-// copy, never the pooled original. Release on a Report that did not
-// come from the pool (zero value, JSON-decoded, Detach copy) is a
-// no-op, so callers can release unconditionally; releasing the same
-// pooled Report twice panics, because the second caller may already be
-// racing the pool's next requester.
-func (r *Report) Release() {
-	if r == nil || !r.pooled {
-		return
-	}
-	if r.released {
-		panic("engine: Report.Release called twice")
-	}
-	r.released = true
-	reportPool.Put(r)
-}
-
-// Detach returns a deep copy of the report that shares no mutable
-// memory with the (possibly pooled) original: safe to retain
-// indefinitely, to store in caches, and to serve concurrently after the
-// original is released. Immutable values — strings and num.Num — are
-// shared; slices and the Best record are copied.
-func (r *Report) Detach() *Report {
-	if r == nil {
-		return nil
-	}
-	d := *r
-	d.pooled, d.released = false, false
-	d.Runs = append([]RunRecord(nil), r.Runs...)
-	if r.Quarantined != nil {
-		d.Quarantined = append([]string(nil), r.Quarantined...)
-	}
-	if r.Skipped != nil {
-		d.Skipped = append([]SkipRecord(nil), r.Skipped...)
-	}
-	if r.Best != nil {
-		best := *r.Best
-		best.Sequence = append([]int(nil), r.Best.Sequence...)
-		if r.Best.Breaks != nil {
-			best.Breaks = append([]int(nil), r.Best.Breaks...)
-		}
-		d.Best = &best
-	}
-	return &d
 }
 
 // WriteText renders the report as an aligned table, cheapest run first.

@@ -158,13 +158,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	span.SetField("shapes", len(groups))
 
 	results := make([]*Result, n)
-	rel := &releaseSet{}
 	var wg sync.WaitGroup
 	for _, g := range groups {
 		wg.Add(1)
 		go func(g *JobGroup) {
 			defer wg.Done()
-			s.serveBatchGroup(r.Context(), rid, g, reqs, results, errDocs, rel)
+			s.serveBatchGroup(r.Context(), rid, g, reqs, results, errDocs)
 		}(g)
 	}
 	wg.Wait()
@@ -175,33 +174,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	span.SetField("status", http.StatusOK)
 	WriteJSON(w, http.StatusOK, doc)
-	// Pooled reports and remap views stay alive until the whole batch
-	// document is written — mates reference their leader's pooled
-	// record buffers, so no group may release early.
-	rel.release()
-}
-
-// releaseSet collects the pooled state (engine reports, remap views)
-// that the batch response document references, so it can all be
-// released in one sweep after the document is written. Group
-// goroutines add concurrently; release runs on the handler goroutine
-// after wg.Wait and the response write.
-type releaseSet struct {
-	mu  sync.Mutex
-	fns []func()
-}
-
-func (rs *releaseSet) add(fn func()) {
-	rs.mu.Lock()
-	rs.fns = append(rs.fns, fn)
-	rs.mu.Unlock()
-}
-
-func (rs *releaseSet) release() {
-	for _, fn := range rs.fns {
-		fn()
-	}
-	rs.fns = nil
 }
 
 // serveBatchGroup admits and serves one shape group: the leader (first
@@ -209,7 +181,7 @@ func (rs *releaseSet) release() {
 // member receives the leader's report remapped into its own label
 // space — members of one group are relabelings of the same instance,
 // so a join sequence transfers through canonical space exactly.
-func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *JobGroup, reqs []*Request, results []*Result, errDocs []*ErrorBody, rel *releaseSet) {
+func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *JobGroup, reqs []*Request, results []*Result, errDocs []*ErrorBody) {
 	m := s.cfg.Metrics
 	rung, rej := s.admit()
 	if rej != nil {
@@ -234,32 +206,22 @@ func (s *Server) serveBatchGroup(ctx context.Context, rid string, g *JobGroup, r
 		}
 		return
 	}
-	rel.add(out.close)
 	results[g.Idxs[0]] = out.result(leader.model())
 	if len(g.Idxs) == 1 {
 		return
 	}
 	// Fan out to group mates: leader labels → canonical labels → mate
 	// labels. Multi-member groups only form on a real fingerprint key,
-	// so every member's canonical permutation is resolved. The views
-	// share the leader's record buffers and are released with the set
-	// after the batch document is written.
+	// so every member's canonical permutation is resolved.
 	_, leaderPerm, _ := leader.CanonicalID()
-	canonical, cv := viewRemapped(out.rep, leaderPerm)
-	if cv != nil {
-		rel.add(cv.release)
-	}
+	canonical := remap(out.rep, leaderPerm)
 	for _, i := range g.Idxs[1:] {
 		req := reqs[i]
 		_, perm, _ := req.CanonicalID()
 		mate := out.result(req.model())
 		mate.Cached = true
 		mate.QueueMS = 0
-		mateRep, mv := viewRemapped(canonical, invertPerm(perm))
-		mate.Report = mateRep
-		if mv != nil {
-			rel.add(mv.release)
-		}
+		mate.Report = remap(canonical, invertPerm(perm))
 		results[i] = mate
 	}
 }

@@ -69,17 +69,20 @@ func relabeledBodies(t *testing.T, n int, seed int64, k int) [][]byte {
 // TestServeHitAllocBudget pins the allocation budgets of the two
 // cache-hit serve paths on a warmed n=12 instance. A byte-identical
 // replay is served from the byte-identity index — no decode, no
-// canonical labeling — and measures 64 allocs. A relabeled duplicate
-// decodes and canonically labels first and measures 187 (the pooled
+// canonical labeling — and measures 58 allocs. A relabeled duplicate
+// decodes and canonically labels first and measures 172 (the pooled
 // path took a hit from ~4,215 to ~1,240; dropping the per-request
 // re-marshal of the decoded instance took it to 891; the one-pass
-// instance decoder and the slab-allocated canonical labeling to 187).
-// Each budget is the -race measurement plus about 25%: the race
-// detector's sync.Pool drops a quarter of all Puts, and a dropped
-// encoder costs a dozen allocations, so the replay measures 71–84 and
-// the relabeled path 239–249 there. Anything above means the index
-// stopped serving replays, a pool stopped being used, the decoder fell
-// back to encoding/json or the dyadic fast path stopped firing.
+// instance decoder and the slab-allocated canonical labeling to 187;
+// the single-pass body read to 170). Both include the remap's two
+// allocations: the report shell with its BestRecord, and the
+// sequence. Each budget is the -race measurement plus about 25%: the
+// race detector's sync.Pool drops a quarter of all Puts, and a dropped
+// encoder costs a dozen allocations, so the replay measures 63–84 and
+// the relabeled path 218–249 there. Anything above means the index
+// stopped serving replays, the body or encoder pool stopped being
+// used, the decoder fell back to encoding/json or the dyadic fast path
+// stopped firing.
 // benchdiff (BENCH_serve.json) gates the same numbers at 20%; this
 // test is the in-`go test` tripwire that does not need a pinned
 // baseline file.
@@ -122,16 +125,16 @@ func TestServeHitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPooledServeNoBleed hammers the pooled serve path with concurrent
+// TestPooledServeNoBleed hammers the serve path with concurrent
 // requests over distinct instances and asserts every response carries
-// its own request's identity. The pinned failure mode is pool bleed: a
-// pooled Report shell or encoder buffer released too early and handed
-// to another in-flight request, so client A reads client B's plan.
+// its own request's identity. The pinned failure mode is cross-request
+// bleed: a pooled request body or encoder buffer handed to another
+// request while the first still reads it, or a cached report mutated
+// by the remap that serves it, so client A reads client B's plan.
 // Sizes differ across the working set, so a bled report is caught by
 // the n/fingerprint/sequence-length checks even before the cost
-// comparison. Run under -race this also exercises the release
-// lifecycle (view release vs Report.Release aliasing) for ordering
-// bugs.
+// comparison. Run under -race this also checks that cache hits only
+// read the shared cached report.
 func TestPooledServeNoBleed(t *testing.T) {
 	s, err := New(Config{MaxConcurrent: 4, QueueDepth: 256, DegradeAt: 256, Seed: 1})
 	if err != nil {
@@ -140,7 +143,7 @@ func TestPooledServeNoBleed(t *testing.T) {
 	h := s.Handler()
 
 	// Working set of distinct shapes and sizes: repeats hit the cache
-	// (pooled view remap), first-seen run the engine (pooled report).
+	// (remapped from the stored report), first-seen run the engine.
 	type want struct {
 		body        []byte
 		n           int

@@ -25,7 +25,7 @@ import (
 //	                     boundary exactly like coordinator-side worker
 //	                     200s (certified, cost present, permutation-valid)
 //	POST /cache/digest — per-range key digests (anti-entropy compare)
-//	POST /cache/keys   — keys on given ring ranges (repair diff)
+//	POST /cache/keys   — keys on one ring arc (repair diff)
 //	POST /cache/export — full entries by key (repair source)
 //
 // The whole surface is authenticated: every /cache/* request must carry
@@ -236,7 +236,7 @@ func (s *Server) handleCacheDigest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheKeys is POST /cache/keys: the cache keys falling on the
-// given ring ranges, up to the requested limit.
+// requested ring arc, up to one offer's worth.
 func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.cacheEndpointGate(w, r)
 	if !ok {
@@ -248,26 +248,13 @@ func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
-	if len(kreq.Ranges) == 0 || len(kreq.Ranges) > replica.MaxDigestRanges {
-		s.cfg.Metrics.Counter(MetricBadRequest).Inc()
-		WriteErrorDoc(w, requestID(r), http.StatusBadRequest, "bad_request",
-			"keys request needs 1..4096 ranges", 0)
-		return
-	}
-	limit := kreq.Limit
-	if limit <= 0 || limit > replica.DefaultMaxOfferEntries {
-		limit = replica.DefaultMaxOfferEntries
-	}
 	var out replica.KeysResponse
 	for _, k := range s.cache.keys() {
-		h := replica.KeyHash(k)
-		for _, rg := range kreq.Ranges {
-			if rg.Contains(h) {
-				out.Keys = append(out.Keys, k)
-				break
-			}
+		if !kreq.Range.Contains(replica.KeyHash(k)) {
+			continue
 		}
-		if len(out.Keys) == limit {
+		out.Keys = append(out.Keys, k)
+		if len(out.Keys) == replica.DefaultMaxOfferEntries {
 			break
 		}
 	}

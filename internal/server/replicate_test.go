@@ -187,11 +187,29 @@ func TestCacheDigestKeysExportRoundTrip(t *testing.T) {
 	}
 
 	var kr replica.KeysResponse
-	if resp := postCacheJSON(t, ts.URL+"/cache/keys", &replica.KeysRequest{Ranges: full}, &kr); resp.StatusCode != http.StatusOK {
+	if resp := postCacheJSON(t, ts.URL+"/cache/keys", &replica.KeysRequest{Range: full[0]}, &kr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("keys status %d", resp.StatusCode)
 	}
 	if len(kr.Keys) != 5 {
 		t.Fatalf("keys returned %d, want 5", len(kr.Keys))
+	}
+	// An arc ending at one key's hash returns that key and nothing
+	// outside the arc.
+	h := replica.KeyHash(want[0])
+	arc := replica.Range{Lo: h - 1<<60, Hi: h}
+	var ka replica.KeysResponse
+	if resp := postCacheJSON(t, ts.URL+"/cache/keys", &replica.KeysRequest{Range: arc}, &ka); resp.StatusCode != http.StatusOK {
+		t.Fatalf("arc keys status %d", resp.StatusCode)
+	}
+	found := false
+	for _, k := range ka.Keys {
+		found = found || k == want[0]
+		if !arc.Contains(replica.KeyHash(k)) {
+			t.Fatalf("arc keys returned %q, off the arc", k)
+		}
+	}
+	if !found || len(ka.Keys) == 5 {
+		t.Fatalf("arc keys = %v, want %q and not the whole cache", ka.Keys, want[0])
 	}
 
 	var er replica.ExportResponse

@@ -369,12 +369,10 @@ type rejection struct {
 	msg    string
 }
 
-// admit applies admission control and the degradation ladder. On
-// success the caller holds one in-flight slot (pair with release) and
-// the rung to serve at; otherwise the rejection says why.
-func (s *Server) admit() (Rung, *rejection) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// refusal is the one admission rule: the rejection a request would
+// get at the current load, or the rung to serve it at. The caller holds
+// s.mu; refusal touches no metric and no in-flight count.
+func (s *Server) refusal() (Rung, *rejection) {
 	if s.draining {
 		return 0, &rejection{http.StatusServiceUnavailable, "draining", "server is draining; request not admitted"}
 	}
@@ -386,9 +384,24 @@ func (s *Server) admit() (Rung, *rejection) {
 	}
 	rung := ladder(load, s.cfg.DegradeAt, s.cfg.ShedAt)
 	if rung == RungShed {
-		s.cfg.Metrics.Counter(MetricShed).Inc()
 		return 0, &rejection{http.StatusServiceUnavailable, "shed",
 			fmt.Sprintf("load shed at rung %q (%d in flight, shed threshold %d)", rung, load, s.cfg.ShedAt)}
+	}
+	return rung, nil
+}
+
+// admit applies admission control and the degradation ladder. On
+// success the caller holds one in-flight slot (pair with release) and
+// the rung to serve at; otherwise the rejection says why.
+func (s *Server) admit() (Rung, *rejection) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rung, rej := s.refusal()
+	if rej != nil {
+		if rej.kind == "shed" {
+			s.cfg.Metrics.Counter(MetricShed).Inc()
+		}
+		return 0, rej
 	}
 	s.inflight++
 	s.cfg.Metrics.Gauge(MetricInFlight).Add(1)
@@ -403,20 +416,8 @@ func (s *Server) admit() (Rung, *rejection) {
 func (s *Server) precheck() *rejection {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return &rejection{http.StatusServiceUnavailable, "draining", "server is draining; request not admitted"}
-	}
-	load := s.inflight
-	capacity := s.cfg.MaxConcurrent + s.cfg.QueueDepth
-	if load >= capacity {
-		return &rejection{http.StatusTooManyRequests, "overloaded",
-			fmt.Sprintf("admission queue full (%d in flight, capacity %d)", load, capacity)}
-	}
-	if ladder(load, s.cfg.DegradeAt, s.cfg.ShedAt) == RungShed {
-		return &rejection{http.StatusServiceUnavailable, "shed",
-			fmt.Sprintf("load shed (%d in flight, shed threshold %d)", load, s.cfg.ShedAt)}
-	}
-	return nil
+	_, rej := s.refusal()
+	return rej
 }
 
 // release returns an in-flight slot; the last release during a drain
@@ -527,9 +528,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	span.SetField("status", http.StatusOK)
 	WriteJSON(w, http.StatusOK, out.result(model))
-	// The response bytes are written: the pooled report and remap view
-	// (if any) can go back to their pools.
-	out.close()
 }
 
 // jobOutcome is the result of serving one admitted, decoded job — the
@@ -542,7 +540,6 @@ type jobOutcome struct {
 	retryAfter time.Duration
 
 	rep       *engine.Report // in the requester's label space
-	view      *reportView    // pooled remap state backing rep on cache hits
 	rung      Rung           // rung the result was served at (full for cache hits)
 	cached    bool
 	cachePath string             // lookup that served a cache hit: cachePathBody or cachePathCanonical
@@ -550,25 +547,6 @@ type jobOutcome struct {
 	fp        string             // instance fingerprint when canonical identity resolved
 	queueMS   float64
 	wallMS    float64
-}
-
-// close releases the outcome's pooled state — the engine report (a
-// no-op unless pool-born) and the remap view, if any. It must be
-// called only after the response document referencing out.rep has been
-// fully written; afterwards the outcome's report must not be touched.
-func (o *jobOutcome) close() {
-	if o.view != nil {
-		// out.rep aliases the view's Report shell (never pool-born), so
-		// releasing the view covers it — and rep must not be touched
-		// after the view returns to its pool.
-		o.view.release()
-		o.view, o.rep = nil, nil
-		return
-	}
-	if o.rep != nil {
-		o.rep.Release()
-		o.rep = nil
-	}
 }
 
 // result renders the outcome as the success document.
@@ -667,10 +645,9 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 		// only when its winner is certified exact — optimal is optimal
 		// no matter how few optimizers ran. The stored copy is remapped
 		// into canonical label space so any relabeling of this instance
-		// can be served from it, and detached so it survives the pooled
-		// report's release.
+		// can be served from it.
 		if fp, perm, cerr := req.CanonicalID(); cerr == nil {
-			canon := detachRemapped(rep, perm)
+			canon := remap(rep, perm)
 			// A whole /optimize body also indexes the entry by its digest,
 			// so byte-identical replays skip decode (serveBodyHit).
 			var src *bodySource
@@ -686,9 +663,6 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 		}
 	}
 	if err != nil {
-		// The failed run's report (possibly partial, e.g. all-failed) is
-		// never served: release its pooled buffers here.
-		rep.Release()
 		out.kind = cliutil.Classify(err)
 		out.status = http.StatusInternalServerError
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -736,7 +710,7 @@ func (s *Server) serveBodyHit(rawKey string, accepted time.Time) (out jobOutcome
 // serveHit fills out with a cache hit on rep, the canonical-space
 // report stored under key, for a requester whose labels map into
 // canonical space through perm. Both cache paths serve through it, so
-// they share the size-binding check, the metrics and the pooled remap.
+// they share the size-binding check, the metrics and the remap.
 // canonicalOnly marks a hit a byte-identity cache would have missed.
 // A stored report is always a certified full-rung result, so the hit
 // is served at the full rung whatever rung the request was admitted at.
@@ -766,88 +740,34 @@ func (s *Server) serveHit(out *jobOutcome, key string, rep *engine.Report, perm 
 	out.rung = RungFull
 	out.cached = true
 	out.cachePath = path
-	out.rep, out.view = viewRemapped(rep, invertPerm(perm))
+	out.rep = remap(rep, invertPerm(perm))
 	out.wallMS = float64(wall.Microseconds()) / 1000
 	return true
 }
 
-// reportView is the pooled per-response state of a label remap: a
-// Report shell, a BestRecord and a sequence backing array, recycled
-// across requests so a cache hit allocates nothing for its remapped
-// view. The view shares the source report's record buffers (they are
-// label-invariant and read-only while served); it must be released
-// only after the response referencing it has been written, and never
-// outlive the source report's own lifetime (cached reports are
-// detached, so that is automatic).
-type reportView struct {
-	rep  engine.Report
-	best engine.BestRecord
-	seq  []int
-}
-
-var reportViewPool = sync.Pool{New: func() any { return new(reportView) }}
-
-// release returns the view's buffers to the pool, dropping every
-// reference into the source report so a pooled view never pins a
-// cached report in memory. Nil-safe.
-func (v *reportView) release() {
-	if v == nil {
-		return
-	}
-	v.rep = engine.Report{}
-	v.best = engine.BestRecord{}
-	reportViewPool.Put(v)
-}
-
-// viewRemapped returns rep viewed with every entry of Best.Sequence
-// mapped through perm (perm[v] = new label of v), built in pooled
-// state instead of fresh allocations. Every other report field is
-// label-invariant — Breaks are sequence positions, run records carry
-// no sequences — and is shared with the original. A nil perm
-// (identity) or sequence-free report is returned unchanged with a nil
-// view. Constructing the shell field-by-field (rather than copying
-// *rep) also guarantees the view never inherits the engine's pool
-// ownership flags: Release on a view is always a no-op.
-func viewRemapped(rep *engine.Report, perm []int) (*engine.Report, *reportView) {
+// remap returns rep with every entry of Best.Sequence mapped through
+// perm (perm[v] = new label of v): a new Report shell and BestRecord
+// over a fresh sequence. Every other field is label-invariant — Breaks
+// are sequence positions, run records carry no sequences — and is
+// shared with rep, which is safe because nothing writes a report once
+// Server.run has returned it. The cache store, both hit paths and the
+// batch mates all remap through it. A nil perm (identity) or a report
+// without a winner is returned as is.
+func remap(rep *engine.Report, perm []int) *engine.Report {
 	if rep == nil || rep.Best == nil || perm == nil {
-		return rep, nil
+		return rep
 	}
-	v := reportViewPool.Get().(*reportView)
-	n := len(rep.Best.Sequence)
-	if cap(v.seq) < n {
-		v.seq = make([]int, n)
-	}
-	seq := v.seq[:n]
+	// One allocation holds both the shell and its BestRecord.
+	v := &struct {
+		rep  engine.Report
+		best engine.BestRecord
+	}{rep: *rep, best: *rep.Best}
+	v.best.Sequence = make([]int, len(rep.Best.Sequence))
 	for k, val := range rep.Best.Sequence {
-		seq[k] = perm[val]
+		v.best.Sequence[k] = perm[val]
 	}
-	v.best = *rep.Best
-	v.best.Sequence = seq
-	v.rep = engine.Report{
-		Model:       rep.Model,
-		N:           rep.N,
-		Best:        &v.best,
-		Runs:        rep.Runs,
-		Quarantined: rep.Quarantined,
-		Skipped:     rep.Skipped,
-		WallMS:      rep.WallMS,
-		SpanID:      rep.SpanID,
-	}
-	return &v.rep, v
-}
-
-// detachRemapped returns a detached deep copy of rep with
-// Best.Sequence mapped through perm — the canonical-label copy handed
-// to the cache and the replication fan-out, safe to retain and serve
-// indefinitely after the pooled original is released.
-func detachRemapped(rep *engine.Report, perm []int) *engine.Report {
-	d := rep.Detach()
-	if d != nil && d.Best != nil && perm != nil {
-		for k, v := range d.Best.Sequence {
-			d.Best.Sequence[k] = perm[v]
-		}
-	}
-	return d
+	v.rep.Best = &v.best
+	return &v.rep
 }
 
 // invertPerm returns perm⁻¹, or nil for nil.

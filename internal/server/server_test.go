@@ -157,6 +157,44 @@ func TestAdmissionStateMachine(t *testing.T) {
 	}
 }
 
+// TestPrecheckMatchesAdmit pins the batch endpoint's pre-decode gate to
+// the admission rule: in each refusing state precheck returns exactly
+// the rejection admit does, and neither takes an in-flight slot.
+func TestPrecheckMatchesAdmit(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		draining bool
+		inflight int
+		kind     string
+	}{
+		{"draining", true, 0, "draining"},
+		{"full", false, 10, "overloaded"},
+		{"shed", false, 4, "shed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{MaxConcurrent: 2, QueueDepth: 8, DegradeAt: 2, ShedAt: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.draining, s.inflight = tc.draining, tc.inflight
+			pre := s.precheck()
+			_, adm := s.admit()
+			if pre == nil || adm == nil {
+				t.Fatalf("precheck %+v, admit %+v: want both to refuse", pre, adm)
+			}
+			if *pre != *adm {
+				t.Fatalf("precheck %+v differs from admit %+v", *pre, *adm)
+			}
+			if pre.kind != tc.kind {
+				t.Fatalf("kind %q, want %q", pre.kind, tc.kind)
+			}
+			if s.inflight != tc.inflight {
+				t.Fatalf("in-flight count moved from %d to %d", tc.inflight, s.inflight)
+			}
+		})
+	}
+}
+
 func TestShedAtMustExceedDegradeAt(t *testing.T) {
 	if _, err := New(Config{DegradeAt: 4, ShedAt: 4}); err == nil {
 		t.Fatal("New accepted ShedAt == DegradeAt")

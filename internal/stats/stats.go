@@ -76,23 +76,6 @@ func (s *Stats) Fallback() {
 	}
 }
 
-// Reset zeroes the counters in place with atomic stores, so a pooled
-// sink can be reused across runs without copying the struct (Stats
-// contains atomics and must not be assigned). Reset must not race
-// writers: the engine only resets sinks whose runs have fully finished
-// — a sink that might still be written by an abandoned goroutine is
-// retained, never reset.
-func (s *Stats) Reset() {
-	if s == nil {
-		return
-	}
-	s.costEvals.Store(0)
-	s.dpSubsets.Store(0)
-	s.moves.Store(0)
-	s.fastEvals.Store(0)
-	s.fallbacks.Store(0)
-}
-
 // Snapshot is a point-in-time copy of the counters, JSON-serializable
 // for engine reports.
 type Snapshot struct {
