@@ -42,6 +42,7 @@ package graph
 import (
 	"bytes"
 	"slices"
+	"sync"
 )
 
 // CanonData describes a structure to canonicalize. Both callbacks must
@@ -87,7 +88,8 @@ func canonicalOrder(d CanonData, maxAutos int) ([]int, []byte) {
 	if n == 0 {
 		return []int{}, []byte{}
 	}
-	c := newCanonizer(d, maxAutos)
+	c := canonizerPool.Get().(*canonizer)
+	c.reset(d, maxAutos)
 	c.computeTwins()
 
 	// Seed colors: vertex bytes + sorted multiset of pair codes.
@@ -109,15 +111,34 @@ func canonicalOrder(d CanonData, maxAutos int) ([]int, []byte) {
 	c.refine(c.levels[0].colors)
 	c.search(0, 0, false)
 
+	// The results are copied out of the canonizer's slabs, so nothing
+	// returned aliases pooled memory.
 	ord := make([]int, n)
 	copy(ord, c.bestOrd)
-	return ord, c.best
+	enc := make([]byte, len(c.best))
+	copy(enc, c.best)
+	if n <= maxPooledN {
+		canonizerPool.Put(c)
+	}
+	return ord, enc
 }
 
+// canonizerPool recycles canonizers, slabs and all, across
+// CanonicalOrder calls. Only canonicalOrder touches it: a call takes
+// a canonizer on entry and puts it back on return, after copying out
+// everything it returns, so the pool is private to one call at a time
+// and no caller ever holds pooled memory.
+var canonizerPool = sync.Pool{New: func() any { return new(canonizer) }}
+
+// maxPooledN is the largest vertex count whose canonizer goes back to
+// the pool: the slabs grow as n², and one large call must not pin them.
+const maxPooledN = 64
+
 // canonizer carries the search state of one CanonicalOrder call. Its
-// buffers are carved from a few slabs sized from n up front, so a call
-// allocates a handful of objects however wide the search grows (only
-// the automorphism list and the row stack may grow, by doubling).
+// buffers are carved from a few slabs sized from n (reset), kept
+// across calls through canonizerPool, so a warm call allocates
+// nothing however wide the search grows (only the automorphism list
+// and the row stack may grow, by doubling).
 type canonizer struct {
 	n int
 	// arena holds every vertex's bytes, then every ordered pair's, as
@@ -149,6 +170,12 @@ type canonizer struct {
 	autos    []int
 	maxAutos int
 	prunable bool
+
+	// The slabs the buffers above are carved from.
+	intSlab  []int
+	u64Slab  []uint64
+	boolSlab []bool
+	byteSlab []byte
 }
 
 // level is the scratch of one search depth: the refined partition the
@@ -165,14 +192,19 @@ type level struct {
 	explored []int
 }
 
-func newCanonizer(d CanonData, maxAutos int) *canonizer {
+// reset prepares c for a call on d: it re-carves every buffer from
+// the slabs, growing a slab only when it is too small for n, and reads
+// the vertex and pair bytes into the arena.
+func (c *canonizer) reset(d CanonData, maxAutos int) {
 	n := d.N
-	c := &canonizer{n: n, maxAutos: maxAutos, prunable: true}
+	c.n, c.maxAutos, c.prunable, c.found = n, maxAutos, true, false
+	c.autos = c.autos[:0]
 	entries := n + n*n
-	ints := make([]int, entries+1+2*n+n*(5*n+1))
+	ints := slab(&c.intSlab, entries+1+2*n+n*(5*n+1))
 	c.off, ints = ints[:entries+1], ints[entries+1:]
 	c.ord, c.bestOrd, ints = ints[:0:n], ints[n:n:2*n], ints[2*n:]
-	c.arena = make([]byte, 0, 64*n)
+	c.off[0] = 0
+	c.arena = c.arena[:0]
 	for v := 0; v < n; v++ {
 		c.arena = d.VertexBytes(c.arena, v)
 		c.off[v+1] = len(c.arena)
@@ -190,25 +222,34 @@ func newCanonizer(d CanonData, maxAutos int) *canonizer {
 		}
 	}
 
-	u64 := make([]uint64, n*n+4*n+n*n)
+	u64 := slab(&c.u64Slab, n*n+4*n+n*n)
 	c.pc, u64 = u64[:n*n], u64[n*n:]
 	for i := range c.pc {
 		c.pc[i] = fnvBytes(fnvOffset, c.entry(n+i))
 	}
 	c.cur, c.next, c.sorted, c.sig, u64 = u64[:n:n], u64[n:2*n:2*n], u64[2*n:3*n:3*n], u64[3*n:4*n:4*n], u64[4*n:]
-	c.levels = make([]level, n)
+	c.levels = slab(&c.levels, n)
 	for d := range c.levels {
 		l := &c.levels[d]
 		l.colors, u64 = u64[:n:n], u64[n:]
 		l.reps, l.idx, l.explored, l.orbit = ints[0:0:n], ints[n:n:2*n], ints[2*n:2*n:3*n], ints[3*n:4*n:4*n]
 		l.rowOff, ints = ints[4*n:4*n:5*n+1], ints[5*n+1:]
 	}
-	bools := make([]bool, n+n*n)
+	bools := slab(&c.boolSlab, n+n*n)
+	clear(bools)
 	c.placed, c.twin = bools[:n], bools[n:]
 	enc := (len(c.arena)+c.off[n])/2 + n*n + n // vertex bytes, half the pair bytes, NULs
-	bs := make([]byte, 0, 2*enc+len(c.arena)/2)
+	bs := slab(&c.byteSlab, 2*enc+len(c.arena)/2)
 	c.buf, c.best, c.rows = bs[0:0:enc], bs[enc:enc:2*enc], bs[2*enc:2*enc]
-	return c
+}
+
+// slab returns (*s)[:size], first replacing *s with a larger slice
+// when its capacity is short. The contents are whatever the slab held.
+func slab[T any](s *[]T, size int) []T {
+	if cap(*s) < size {
+		*s = make([]T, size)
+	}
+	return (*s)[:size]
 }
 
 func (c *canonizer) entry(i int) []byte { return c.arena[c.off[i]:c.off[i+1]] }

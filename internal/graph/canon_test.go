@@ -273,3 +273,23 @@ func TestOrbitPruningIsExact(t *testing.T) {
 		check(fmt.Sprintf("struct trial %d", trial), s.permuted(randomPerm(s.n, rng)).data())
 	}
 }
+
+// TestCanonicalOrderResultsOwnTheirMemory pins the pooled canonizer's
+// lifetime rule: CanonicalOrder copies its results out of the slabs it
+// recycles, so an ordering and encoding read the same after later
+// calls of any size have reused those slabs.
+func TestCanonicalOrderResultsOwnTheirMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	first := randomStruct(9, rng, 4)
+	ord, enc := CanonicalOrder(first.data())
+	wantOrd, wantEnc := append([]int(nil), ord...), bytes.Clone(enc)
+	for _, n := range []int{9, 3, 14, 9, 1, 20} {
+		CanonicalOrder(randomStruct(n, rng, 4).data())
+	}
+	if fmt.Sprint(ord) != fmt.Sprint(wantOrd) || !bytes.Equal(enc, wantEnc) {
+		t.Fatalf("first result changed after later calls: ord %v enc %q, want %v %q", ord, enc, wantOrd, wantEnc)
+	}
+	if again, enc2 := CanonicalOrder(first.data()); fmt.Sprint(again) != fmt.Sprint(wantOrd) || !bytes.Equal(enc2, wantEnc) {
+		t.Fatal("a recycled canonizer changed the result of a repeated call")
+	}
+}

@@ -27,13 +27,13 @@ package num
 // Fallback results stay big ("sticky"): re-capturing mid-computation
 // would pay a MinPrec scan per operation for values that typically
 // remain wide. The one deliberate re-capture point is UnmarshalJSON,
-// so decoded instances enter the system dyadic whenever they can.
+// so decoded instances enter the system dyadic whenever they can (the
+// text codec itself is codec.go).
 
 import (
 	"math"
 	"math/big"
 	"math/bits"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -55,12 +55,16 @@ var floatAllocs atomic.Int64
 func FloatAllocs() int64 { return floatAllocs.Load() }
 
 // dyTemps is a pooled quad of big.Floats used to materialize dyadic
-// operands on the fallback path of the immutable Num API. Scratch has
-// its own inline temporaries.
-type dyTemps struct{ a, b, c, d *big.Float }
+// operands on the fallback path of the immutable Num API, plus the
+// big.Int the 'p' codec (codec.go) moves mantissa words through.
+// Scratch has its own inline temporaries.
+type dyTemps struct {
+	a, b, c, d *big.Float
+	i          big.Int
+}
 
 var dyTempPool = sync.Pool{New: func() any {
-	return &dyTemps{newFloat(), newFloat(), newFloat(), newFloat()}
+	return &dyTemps{a: newFloat(), b: newFloat(), c: newFloat(), d: newFloat()}
 }}
 
 func getTemps() *dyTemps  { return dyTempPool.Get().(*dyTemps) }
@@ -409,130 +413,4 @@ func mantFloat(hi, lo uint64, l int) float64 {
 func log2DyRaw(hi, lo uint64, e int64) float64 {
 	l := bitLen128(hi, lo)
 	return float64(e+int64(l)) + math.Log2(mantFloat(hi, lo, l))
-}
-
-// appendDyP appends the big.Float 'p'-format rendering of the nonzero
-// dyadic value m·2^e — "0x.<hex mantissa>p<±exp>" — to dst,
-// byte-identical to materializing and calling Append(dst, 'p', 0) but
-// without touching math/big: the mantissa is left-shifted to a nibble
-// boundary (so the leading hex digit is ≥ 8, matching big.Float's
-// normalized 0.5 ≤ 0x.d… < 1 form) and the printed binary exponent is
-// e plus the mantissa bit length. The mantissa being odd guarantees the
-// lowest nibble is nonzero, so big.Float's trailing-zero trimming never
-// applies.
-func appendDyP(dst []byte, hi, lo uint64, e int64) []byte {
-	const hex = "0123456789abcdef"
-	l := bitLen128(hi, lo)
-	pad := uint(-l) & 3
-	hi, lo = shl128(hi, lo, pad)
-	dst = append(dst, '0', 'x', '.')
-	for k := (l+int(pad))/4 - 1; k >= 0; k-- {
-		var d uint64
-		if k >= 16 {
-			d = hi >> uint((k-16)*4)
-		} else {
-			d = lo >> uint(k*4)
-		}
-		dst = append(dst, hex[d&0xf])
-	}
-	dst = append(dst, 'p')
-	pe := e + int64(l)
-	if pe >= 0 {
-		dst = append(dst, '+')
-	}
-	return strconv.AppendInt(dst, pe, 10)
-}
-
-// parseDyadic parses the two textual forms MarshalJSON emits — bare
-// decimal integers and big.Float 'p' notation ("0x.c0e4p+14") —
-// straight into dyadic form without touching math/big. Anything else
-// (decimal fractions, huge mantissas, unusual spellings) reports false
-// and takes the big.ParseFloat path.
-func parseDyadic(b []byte) (Num, bool) {
-	if len(b) == 0 {
-		return Num{}, false
-	}
-	if len(b) == 1 && b[0] == '0' {
-		return Num{dy: true}, true
-	}
-	// The 'p'-notation check must precede the decimal branch: hex forms
-	// start with '0' too.
-	if len(b) >= 2 && b[0] == '0' && b[1] == 'x' {
-		if len(b) < 7 || b[2] != '.' {
-			return Num{}, false
-		}
-		return parseDyadicHex(b)
-	}
-	if b[0] >= '0' && b[0] <= '9' {
-		if len(b) > 19 {
-			return Num{}, false // may exceed uint64: let big.ParseFloat decide
-		}
-		var v uint64
-		for _, c := range b {
-			if c < '0' || c > '9' {
-				return Num{}, false
-			}
-			v = v*10 + uint64(c-'0')
-		}
-		n, _ := dyNum(0, v, 0)
-		return n, true
-	}
-	return Num{}, false
-}
-
-// parseDyadicHex parses big.Float 'p' notation ("0x.c0e4p+14", already
-// prefix-checked) into dyadic form.
-func parseDyadicHex(b []byte) (Num, bool) {
-	i := 3
-	var hi, lo uint64
-	digits := 0
-	for i < len(b) && b[i] != 'p' {
-		var d uint64
-		switch c := b[i]; {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		default:
-			return Num{}, false
-		}
-		if digits == 32 {
-			return Num{}, false // mantissa beyond 128 bits
-		}
-		hi = hi<<4 | lo>>60
-		lo = lo<<4 | d
-		digits++
-		i++
-	}
-	if digits == 0 || i >= len(b)-1 || b[i] != 'p' {
-		return Num{}, false
-	}
-	i++
-	neg := false
-	switch b[i] {
-	case '+':
-	case '-':
-		neg = true
-	default:
-		return Num{}, false
-	}
-	i++
-	if i == len(b) || len(b)-i > 9 {
-		return Num{}, false
-	}
-	var ev int64
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return Num{}, false
-		}
-		ev = ev*10 + int64(c-'0')
-	}
-	if neg {
-		ev = -ev
-	}
-	if hi|lo == 0 {
-		return Num{}, false // "0x.0…": big never emits it, don't guess
-	}
-	return dyNum(hi, lo, ev-int64(digits)*4)
 }

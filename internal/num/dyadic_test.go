@@ -252,12 +252,12 @@ func TestParseDyadicForms(t *testing.T) {
 		{"0x.8p-52", Pow2(-53)},
 		{"0x.b9e34d41d23268p+0", FromFloat64(0.7261246)},
 	} {
-		n, ok := parseDyadic([]byte(fast.in))
+		n, ok := parseText([]byte(fast.in))
 		if !ok {
-			t.Fatalf("parseDyadic(%q): fast path did not fire", fast.in)
+			t.Fatalf("parseText(%q): fast path did not fire", fast.in)
 		}
 		if !n.Equal(fast.want) {
-			t.Fatalf("parseDyadic(%q): got %s want %s", fast.in, n, fast.want)
+			t.Fatalf("parseText(%q): got %s want %s", fast.in, n, fast.want)
 		}
 	}
 	for _, bad := range []string{`"-1"`, `"0x.cp+2junk"`, `"NaN"`, `""`, `"1e999999999999"`} {

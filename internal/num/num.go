@@ -379,18 +379,12 @@ func (n Num) String() string {
 // canonical instance fingerprints (qon/qoh Canonicalize) fold into
 // their hashes. The bytes are big.Float 'p' format — hex mantissa and
 // binary exponent — and never contain a NUL byte, so callers may use
-// 0x00 as a separator. Dyadic values format directly from the uint128
-// mantissa (see appendDyP) — byte-identical to the big.Float rendering,
-// so the bytes stay representation-independent.
+// 0x00 as a separator. Both representations format from mantissa words
+// (codec.go), byte-identical to big.Float's rendering, so the bytes
+// stay representation-independent.
 func (n Num) CanonicalAppend(dst []byte) []byte {
 	n.check()
-	if n.f != nil {
-		return n.f.Append(dst, 'p', 0)
-	}
-	if n.mhi|n.mlo == 0 {
-		return append(dst, '0')
-	}
-	return appendDyP(dst, n.mhi, n.mlo, int64(n.exp))
+	return n.appendText(dst)
 }
 
 // MarshalJSON encodes n as a JSON string in big.Float parseable form.
@@ -398,30 +392,27 @@ func (n Num) MarshalJSON() ([]byte, error) {
 	if !n.valid() {
 		return nil, fmt.Errorf("num: cannot marshal zero-value Num")
 	}
-	if n.f != nil {
-		return []byte(`"` + n.f.Text('p', 0) + `"`), nil
+	size := 2 + maxPText
+	if n.dy {
+		size -= 32 // a dyadic mantissa has at most 32 digits
 	}
-	buf := make([]byte, 1, 52) // "0x." + ≤32 nibbles + "p±" + ≤10 exp digits + quotes
+	buf := make([]byte, 1, size)
 	buf[0] = '"'
-	if n.mhi|n.mlo == 0 {
-		buf = append(buf, '0')
-	} else {
-		buf = appendDyP(buf, n.mhi, n.mlo, int64(n.exp))
-	}
+	buf = n.appendText(buf)
 	return append(buf, '"'), nil
 }
 
 // UnmarshalJSON decodes a Num from the representation MarshalJSON emits
 // (it also accepts plain decimal strings and bare JSON numbers). Values
-// whose mantissa fits 128 bits decode into the dyadic fast-path form —
-// for the common 'p'-notation and small-integer spellings without
-// touching math/big at all.
+// whose mantissa fits 128 bits decode into the dyadic fast-path form.
+// The 'p'-notation and small-integer spellings are read by the codec
+// in codec.go; every other spelling goes through big.ParseFloat.
 func (n *Num) UnmarshalJSON(data []byte) error {
 	b := data
 	if len(b) >= 2 && b[0] == '"' && b[len(b)-1] == '"' {
 		b = b[1 : len(b)-1]
 	}
-	if d, ok := parseDyadic(b); ok {
+	if d, ok := parseText(b); ok {
 		*n = d
 		return nil
 	}

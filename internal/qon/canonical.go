@@ -55,22 +55,10 @@ func Relabel(in *Instance, pi []int) *Instance {
 // CanonData contract the byte encodings are label-invariant and
 // NUL-free: num.CanonicalAppend emits big.Float 'p' text, and ';' / 'e'
 // markers separate components. An access cost appears in the views of
-// both orientations of its pair, so each is formatted once up front.
+// both orientations of its pair and is formatted in each.
 func canonData(in *Instance) graph.CanonData {
-	n := in.N()
-	wOff := make([]int, n*n+1)
-	wb := make([]byte, 0, 16*n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				wb = in.W[i][j].CanonicalAppend(wb)
-			}
-			wOff[i*n+j+1] = len(wb)
-		}
-	}
-	w := func(i, j int) []byte { return wb[wOff[i*n+j]:wOff[i*n+j+1]] }
 	return graph.CanonData{
-		N: n,
+		N: in.N(),
 		VertexBytes: func(dst []byte, v int) []byte {
 			return in.T[v].CanonicalAppend(dst)
 		},
@@ -82,9 +70,9 @@ func canonData(in *Instance) graph.CanonData {
 			dst = append(dst, 'e', e, ';')
 			dst = in.S[u][v].CanonicalAppend(dst)
 			dst = append(dst, ';')
-			dst = append(dst, w(u, v)...)
+			dst = in.W[u][v].CanonicalAppend(dst)
 			dst = append(dst, ';')
-			return append(dst, w(v, u)...)
+			return in.W[v][u].CanonicalAppend(dst)
 		},
 	}
 }
@@ -121,10 +109,13 @@ func CanonicalID(in *Instance) (string, []int) {
 	for pos, v := range ord {
 		pi[v] = pos
 	}
+	var hdr [24]byte
 	h := sha256.New()
-	h.Write([]byte("qon\x00"))
-	h.Write([]byte(strconv.Itoa(in.N())))
+	h.Write(strconv.AppendInt(append(hdr[:0], "qon\x00"...), int64(in.N()), 10))
 	h.Write([]byte{0})
 	h.Write(enc)
-	return hex.EncodeToString(h.Sum(nil)), pi
+	var sum [sha256.Size]byte
+	var fp [2 * sha256.Size]byte
+	hex.Encode(fp[:], h.Sum(sum[:0]))
+	return string(fp[:]), pi
 }

@@ -410,10 +410,11 @@ func TestResultCacheBodyIndex(t *testing.T) {
 	}
 }
 
-// The decode and canonical-labeling stage histograms record one sample
-// per request that pays the stage: a relabeled duplicate decodes and
-// labels once each, and a byte-identical replay served by the index
-// records neither.
+// The stage histograms of the serve path record one sample per
+// request that pays the stage: a relabeled duplicate decodes, labels,
+// remaps and encodes once each; a byte-identical replay served by the
+// index remaps and encodes but neither decodes nor labels; a miss
+// remaps no cached report.
 func TestStageHistograms(t *testing.T) {
 	reg := trace.NewRegistry()
 	s, err := New(Config{MaxConcurrent: 2, Metrics: reg, Seed: 1})
@@ -422,18 +423,24 @@ func TestStageHistograms(t *testing.T) {
 	}
 	h := s.Handler()
 	body := optimizeBody(t, 8, 21)
-	decode, canon := reg.Histogram(MetricDecodeUS), reg.Histogram(MetricCanonUS)
-	step := func(name string, body []byte, wantCached bool, wantDecode, wantCanon int64) {
+	stages := []*trace.Histogram{reg.Histogram(MetricDecodeUS), reg.Histogram(MetricCanonUS),
+		reg.Histogram(MetricRemapUS), reg.Histogram(MetricEncodeUS)}
+	step := func(name string, body []byte, wantCached bool, want ...int64) {
 		t.Helper()
-		d0, c0 := decode.Count(), canon.Count()
+		var before [4]int64
+		for i, hist := range stages {
+			before[i] = hist.Count()
+		}
 		if res, _ := mustServe(t, h, body); res.Cached != wantCached {
 			t.Fatalf("%s: cached=%v, want %v", name, res.Cached, wantCached)
 		}
-		if d, c := decode.Count()-d0, canon.Count()-c0; d != wantDecode || c != wantCanon {
-			t.Fatalf("%s: recorded %d decode and %d canon samples, want %d and %d", name, d, c, wantDecode, wantCanon)
+		for i, hist := range stages {
+			if got := hist.Count() - before[i]; got != want[i] {
+				t.Fatalf("%s: recorded %d samples of stage %d (decode, canon, remap, encode), want %d", name, got, i, want[i])
+			}
 		}
 	}
-	step("miss", body, false, 1, 1)
-	step("relabeled hit", relabeledBodies(t, 8, 21, 1)[0], true, 1, 1)
-	step("replay", body, true, 0, 0)
+	step("miss", body, false, 1, 1, 0, 1)
+	step("relabeled hit", relabeledBodies(t, 8, 21, 1)[0], true, 1, 1, 1, 1)
+	step("replay", body, true, 0, 0, 1, 1)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -136,6 +137,26 @@ func FuzzBatchRequestJSON(f *testing.F) {
 	}
 	f.Add(`{"jobs":[` + strings.Join(scanned, ",") + `]}`)
 	f.Add(`{"jobs":[` + scanned[0] + ` x]}`) // trailing bytes after a job
+	// The batch envelope around scanBatch: a spelling it scans, then one
+	// seed per rule that declines it to encoding/json.
+	j := scanned[0]
+	for _, body := range []string{
+		" \t{ \"jobs\" :\r[ " + j + " ,\n" + j + " ] }\n ", // scanned
+		`{"Jobs":[` + j + `]}`,                             // key in another case
+		`{"j\u006fbs":[` + j + `]}`,                        // escaped key
+		`{"jobs":[` + j + `],"jobs":[` + j + `]}`,          // duplicate key
+		`{"jobs":[` + j + `],"extra":1}`,                   // another key
+		`{"extra":1,"jobs":[` + j + `]}`,                   // another key first
+		`{"jobs":` + j + `}`,                               // jobs not an array
+		`{"jobs":[` + j + `,]}`,                            // trailing comma
+		`{"jobs":[` + j + ` ` + j + `]}`,                   // missing comma
+		`{"jobs":[` + j + `]`,                              // unterminated object
+		`{"jobs":[` + j + `]} x`,                           // trailing bytes
+		"{\"jobs\":[" + j + "]}\v",                         // whitespace JSON does not allow
+		`{"jobs":[` + strings.Repeat(j+`,`, 8) + j + `]}`,  // more than maxJobs
+	} {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
@@ -151,6 +172,11 @@ func FuzzBatchRequestJSON(f *testing.F) {
 		}
 		if a, b := mustMarshal(t, br), mustMarshal(t, ref); a != b {
 			t.Fatalf("DecodeBatchRequest decoded %s, encoding/json reference %s", a, b)
+		}
+		for i := range ref.raw {
+			if !bytes.Equal(br.raw[i], ref.raw[i]) {
+				t.Fatalf("job %d raw bytes %q, encoding/json reference %q", i, br.raw[i], ref.raw[i])
+			}
 		}
 		if len(br.Jobs) == 0 || len(br.Jobs) > maxJobs {
 			t.Fatalf("decoder accepted %d jobs outside [1, %d]", len(br.Jobs), maxJobs)

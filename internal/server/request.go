@@ -222,13 +222,31 @@ func decodeJob(raw []byte) (*Job, error) {
 // scanJob is decodeJob's one-pass scan; ok=false declines. The job
 // shares no memory with data.
 func scanJob(data []byte) (job *Job, ok bool) {
+	s := jobScanner{b: data}
+	if job, ok = s.job(); !ok {
+		return nil, false
+	}
+	s.ws()
+	return job, s.i == len(data)
+}
+
+// jobScanner walks a job object for scanJob, and the batch envelope
+// around a list of them for scanBatch; every method skips the
+// whitespace before its token and reports false on anything but what
+// it expects.
+type jobScanner struct {
+	b []byte
+	i int
+}
+
+// job consumes one job object in the spelling decodeJob scans.
+func (s *jobScanner) job() (job *Job, ok bool) {
 	const (
 		hasInstance = 1 << iota
 		hasModel
 		hasTimeout
 		hasRoute
 	)
-	s := jobScanner{b: data}
 	if !s.lit('{') {
 		return nil, false
 	}
@@ -244,7 +262,7 @@ func scanJob(data []byte) (job *Job, ok bool) {
 		case "instance":
 			bit = hasInstance
 			var end int
-			if job.Instance, end, ok = qon.ScanInstance(data[s.i:]); ok {
+			if job.Instance, end, ok = qon.ScanInstance(s.b[s.i:]); ok {
 				s.i += end
 			}
 		case "model":
@@ -268,22 +286,12 @@ func scanJob(data []byte) (job *Job, ok bool) {
 		}
 		seen |= bit
 		if s.lit('}') {
-			break
+			return job, true
 		}
 		if !s.lit(',') {
 			return nil, false
 		}
 	}
-	s.ws()
-	return job, s.i == len(data)
-}
-
-// jobScanner walks a job object for scanJob; every method skips the
-// whitespace before its token and reports false on anything but what
-// it expects.
-type jobScanner struct {
-	b []byte
-	i int
 }
 
 func (s *jobScanner) ws() {
@@ -547,7 +555,67 @@ type BatchRequest struct {
 // constraints (well-formed JSON, 1..maxJobs jobs). Per-job validation
 // is the handler's job — one invalid job yields a per-job error
 // document, not a batch-level failure.
+//
+// A body spelled `{"jobs": [J, ...]}` whose every job J decodeJob
+// would scan is decoded in one pass (scanBatch); any other body goes
+// through decodeBatchWhole, whose result and errors are the same.
 func DecodeBatchRequest(data []byte, maxJobs int) (*BatchRequest, error) {
+	if br, ok := scanBatch(data, maxJobs); ok {
+		return br, nil
+	}
+	return decodeBatchWhole(data, maxJobs)
+}
+
+// scanBatch is DecodeBatchRequest's one-pass scan. It accepts the key
+// "jobs" spelled exactly, as the only key, holding an array of 1 to
+// maxJobs jobs that jobScanner.job accepts, with nothing after the
+// object but whitespace; everything else declines. The jobs' raw bytes
+// are copied out of data in one allocation.
+func scanBatch(data []byte, maxJobs int) (*BatchRequest, bool) {
+	s := jobScanner{b: data}
+	if !s.lit('{') {
+		return nil, false
+	}
+	if key, ok := s.str(); !ok || string(key) != "jobs" || !s.lit(':') || !s.lit('[') {
+		return nil, false
+	}
+	br := &BatchRequest{}
+	var spans []int // start and end offset of each job in data
+	for {
+		s.ws()
+		start := s.i
+		job, ok := s.job()
+		if !ok || maxJobs > 0 && len(br.Jobs) == maxJobs {
+			return nil, false
+		}
+		br.Jobs = append(br.Jobs, job)
+		spans = append(spans, start, s.i)
+		if s.lit(']') {
+			break
+		}
+		if !s.lit(',') {
+			return nil, false
+		}
+	}
+	if !s.lit('}') {
+		return nil, false
+	}
+	if s.ws(); s.i != len(data) {
+		return nil, false
+	}
+	base := spans[0]
+	raw := bytes.Clone(data[base:spans[len(spans)-1]])
+	br.raw = make([]json.RawMessage, len(br.Jobs))
+	for k := range br.raw {
+		a, b := spans[2*k]-base, spans[2*k+1]-base
+		br.raw[k] = raw[a:b:b]
+	}
+	return br, true
+}
+
+// decodeBatchWhole is DecodeBatchRequest for any body: encoding/json
+// splits the envelope into raw jobs and decodeJob decodes each.
+func decodeBatchWhole(data []byte, maxJobs int) (*BatchRequest, error) {
 	var env struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}

@@ -109,29 +109,80 @@ func TestDecodeDoesNotAliasBody(t *testing.T) {
 		}
 	}
 
-	var valid []string
+	var valid, client []string
 	for _, job := range jobs {
 		if _, err := DecodeBatchRequest([]byte(`{"jobs":[`+job+`]}`), 0); err == nil {
 			valid = append(valid, job)
 		}
 	}
-	body := []byte(`{"jobs":[` + strings.Join(valid, ",") + `]}`)
-	want, err := DecodeBatchRequest(bytes.Clone(body), 0)
+	for _, data := range clientJobs(t) {
+		client = append(client, string(data))
+	}
+	// The second batch is one scanBatch takes; the first declines to
+	// encoding/json (it holds workload jobs).
+	for _, batch := range [][]string{valid, client} {
+		body := []byte(`{"jobs":[` + strings.Join(batch, ",") + `]}`)
+		want, err := DecodeBatchRequest(bytes.Clone(body), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := bytes.Clone(body)
+		br, err := DecodeBatchRequest(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(buf)
+		if a, b := mustMarshal(t, br), mustMarshal(t, want); a != b {
+			t.Errorf("batch changed when its body was overwritten:\n%s\nwant %s", a, b)
+		}
+		for i := range br.raw {
+			if bodyKey(br.raw[i]) != bodyKey(want.raw[i]) {
+				t.Errorf("batch job %d byte identity changed when its body was overwritten", i)
+			}
+		}
+	}
+}
+
+// TestScanBatchTakesClientSpelling pins that DecodeBatchRequest's
+// one-pass envelope scan, not the encoding/json fallback, decodes the
+// batches clients send (json.Marshal of a BatchRequest of inline
+// jobs, compact and indented), to the same jobs and raw job bytes.
+func TestScanBatchTakesClientSpelling(t *testing.T) {
+	var jobs []*Job
+	for _, data := range clientJobs(t) {
+		var job *Job
+		if err := json.Unmarshal(data, &job); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	compact, err := json.Marshal(&BatchRequest{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := bytes.Clone(body)
-	br, err := DecodeBatchRequest(buf, 0)
+	indented, err := json.MarshalIndent(&BatchRequest{Jobs: jobs}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scribble(buf)
-	if a, b := mustMarshal(t, br), mustMarshal(t, want); a != b {
-		t.Errorf("batch changed when its body was overwritten:\n%s\nwant %s", a, b)
-	}
-	for i := range br.raw {
-		if bodyKey(br.raw[i]) != bodyKey(want.raw[i]) {
-			t.Errorf("batch job %d byte identity changed when its body was overwritten", i)
+	for _, body := range [][]byte{compact, indented} {
+		got, ok := scanBatch(body, len(jobs))
+		if !ok {
+			t.Fatalf("scan declined a client batch: %.80s…", body)
+		}
+		want, err := decodeBatchWhole(body, len(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := mustMarshal(t, got), mustMarshal(t, want); a != b {
+			t.Fatalf("scan decoded %s, encoding/json %s", a, b)
+		}
+		for i := range want.raw {
+			if !bytes.Equal(got.raw[i], want.raw[i]) {
+				t.Fatalf("job %d raw bytes %q, encoding/json %q", i, got.raw[i], want.raw[i])
+			}
+		}
+		if _, ok := scanBatch(body, len(jobs)-1); ok {
+			t.Fatal("scan took a batch over its job cap")
 		}
 	}
 }

@@ -74,6 +74,8 @@ const (
 	MetricRequestWallUS = "server.request.wall_us" // histogram: accepted-request wall time (µs)
 	MetricDecodeUS      = "server.decode_us"       // histogram: DecodeRequest time of a /optimize body (µs)
 	MetricCanonUS       = "server.canon_us"        // histogram: canonical labeling time, once per request that computes it (µs)
+	MetricRemapUS       = "server.remap_us"        // histogram: remapping a cached report into the requester's labels, once per cache hit (µs)
+	MetricEncodeUS      = "server.encode_us"       // histogram: WriteJSON time of a /optimize success document (µs)
 )
 
 // Batch metric names. POST /optimize/batch deliberately keeps its own
@@ -527,7 +529,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		span.SetField("cache_path", out.cachePath)
 	}
 	span.SetField("status", http.StatusOK)
+	t0 := time.Now()
 	WriteJSON(w, http.StatusOK, out.result(model))
+	m.Histogram(MetricEncodeUS).Observe(time.Since(t0).Microseconds())
 }
 
 // jobOutcome is the result of serving one admitted, decoded job — the
@@ -740,7 +744,9 @@ func (s *Server) serveHit(out *jobOutcome, key string, rep *engine.Report, perm 
 	out.rung = RungFull
 	out.cached = true
 	out.cachePath = path
+	t0 := time.Now()
 	out.rep = remap(rep, invertPerm(perm))
+	m.Histogram(MetricRemapUS).Observe(time.Since(t0).Microseconds())
 	out.wallMS = float64(wall.Microseconds()) / 1000
 	return true
 }

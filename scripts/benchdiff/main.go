@@ -23,10 +23,22 @@
 // across the suite's whole wall time, so the per-benchmark minimum
 // spans load swings on both the -update and the compare side.)
 //
+// A/B mode (-base REV) builds REV in a temporary git worktree and runs
+// the same passes there, alternating with this tree's passes on the
+// same machine (parent first, then change first, and so on), and fails
+// when the change/parent ratio of either ns/op or allocs/op exceeds the
+// threshold. Both sides see the same load swings, so a slower host
+// moves both and the ratio stays put, while a code regression moves
+// only the change. A benchmark whose ns/op ratio breaches the threshold
+// gets two more alternating passes on both sides before it fails. allocs/op does not drift with the host, so in this
+// mode it is also checked against the pinned files; the pinned ns/op
+// are the absolute record, re-pinned with -update.
+//
 // Usage (from the repository root):
 //
 //	go run ./scripts/benchdiff            # compare against baselines
 //	go run ./scripts/benchdiff -update    # rewrite both baselines
+//	go run ./scripts/benchdiff -base REV  # A/B against REV (e.g. the merge-base)
 //	go run ./scripts/benchdiff -inject 2  # self-test: fake a 2× slowdown
 package main
 
@@ -95,18 +107,56 @@ type baseline struct {
 // benchLine matches `BenchmarkRegFoo-8  30  12345 ns/op  678 B/op  9 allocs/op`.
 var benchLine = regexp.MustCompile(`^(BenchmarkReg\w*)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ B/op\s+(\d+) allocs/op)?`)
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so that the A/B worktree is removed
+// on every path out.
+func run() int {
 	update := flag.Bool("update", false, "rewrite the baseline files from this run")
+	base := flag.String("base", "", "A/B mode: gate the change/parent ratio against this git revision, built in a temporary worktree")
 	inject := flag.Float64("inject", 1.0, "multiply measured ns/op by this factor (CI self-test)")
 	threshold := flag.Float64("threshold", 1.20, "fail when measured/baseline exceeds this ratio")
 	flag.Parse()
-
-	measured, err := runBenchmarks()
-	if err != nil {
-		fatal(err)
+	if *update && *base != "" {
+		return fail(fmt.Errorf("-update pins this tree's numbers; it does not take -base"))
 	}
+
+	dirs := []string{"."}
+	if *base != "" {
+		dir, cleanup, err := worktree(*base)
+		if err != nil {
+			return fail(err)
+		}
+		defer cleanup()
+		dirs = []string{dir, "."}
+	}
+	runs := make([]map[string]measurement, len(dirs))
+	for i := range runs {
+		runs[i] = map[string]measurement{}
+	}
+	if err := runBenchmarks(dirs, "^BenchmarkReg", benchPasses, runs); err != nil {
+		return fail(err)
+	}
+	measured := runs[len(runs)-1]
 	if len(measured) == 0 {
-		fatal(fmt.Errorf("no BenchmarkReg* benchmarks found — run from the repository root"))
+		return fail(fmt.Errorf("no BenchmarkReg* benchmarks found — run from the repository root"))
+	}
+	if *base != "" {
+		// Re-measure, on both sides, every benchmark whose ns/op ratio
+		// breached the threshold before failing it.
+		var suspects []string
+		for name, m := range measured {
+			if p, ok := runs[0][name]; ok && m.NsPerOp**inject > *threshold*p.NsPerOp {
+				suspects = append(suspects, name)
+			}
+		}
+		if len(suspects) > 0 {
+			sort.Strings(suspects)
+			fmt.Printf("benchdiff: re-measuring %s\n", strings.Join(suspects, ", "))
+			if err := runBenchmarks(dirs, "^("+strings.Join(suspects, "|")+")$", confirmPasses, runs); err != nil {
+				return fail(err)
+			}
+		}
 	}
 	for name, m := range measured {
 		m.NsPerOp *= *inject
@@ -114,6 +164,9 @@ func main() {
 	}
 
 	var failures []string
+	if *base != "" {
+		failures = compareAB(*base, measured, runs[0], *threshold)
+	}
 	for _, file := range baselineFiles {
 		part := map[string]measurement{}
 		for name, m := range measured {
@@ -122,25 +175,89 @@ func main() {
 			}
 		}
 		if *update {
-			writeBaseline(file.name, part)
+			if err := writeBaseline(file.name, part); err != nil {
+				return fail(err)
+			}
 			continue
 		}
-		failures = append(failures, compare(file.name, part, *threshold)...)
+		failures = append(failures, compare(file.name, part, *threshold, *base == "")...)
 	}
 	if *update {
-		return
+		return 0
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "\nbenchdiff: %d failure(s):\n", len(failures))
 		for _, f := range failures {
 			fmt.Fprintf(os.Stderr, "  %s\n", f)
 		}
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("benchdiff: all benchmarks within threshold")
+	return 0
 }
 
-func writeBaseline(path string, measured map[string]measurement) {
+// worktree checks rev out into a temporary git worktree and returns its
+// directory and a cleanup that removes the worktree again.
+func worktree(rev string) (string, func(), error) {
+	dir, err := os.MkdirTemp("", "benchdiff-base-")
+	if err != nil {
+		return "", nil, err
+	}
+	out, err := exec.Command("git", "worktree", "add", "--detach", dir, rev).CombinedOutput()
+	if err != nil {
+		os.RemoveAll(dir)
+		return "", nil, fmt.Errorf("git worktree add %s: %w\n%s", rev, err, out)
+	}
+	fmt.Printf("benchdiff: parent %s checked out in %s\n", rev, dir)
+	return dir, func() {
+		if out, err := exec.Command("git", "worktree", "remove", "--force", dir).CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: git worktree remove %s: %v\n%s", dir, err, out)
+		}
+		os.RemoveAll(dir)
+	}, nil
+}
+
+// compareAB gates the change against the parent run: a benchmark fails
+// when its change/parent ratio of ns/op or of allocs/op exceeds the
+// threshold (for a parent that allocated nothing, when the change
+// allocates at all). Benchmarks only one side has are listed, not
+// gated; the pinned files catch vanished ones.
+func compareAB(rev string, measured, parent map[string]measurement, threshold float64) []string {
+	fmt.Printf("\nA/B against %s (change/parent; fails above %.2fx):\n", rev, threshold)
+	var failures []string
+	for _, name := range sortedKeys(measured) {
+		m := measured[name]
+		p, ok := parent[name]
+		if !ok {
+			fmt.Printf("%-34s %10.0f ns/op  %6d allocs/op  new, not in parent\n", name, m.NsPerOp, m.AllocsPerOp)
+			continue
+		}
+		status := "ok"
+		nsRatio := m.NsPerOp / p.NsPerOp
+		if nsRatio > threshold {
+			status = "REGRESSION"
+			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs parent %.0f (%.2fx > %.2fx)",
+				name, m.NsPerOp, p.NsPerOp, nsRatio, threshold))
+		}
+		allocRatio := float64(m.AllocsPerOp) / float64(max(p.AllocsPerOp, 1))
+		if p.AllocsPerOp == 0 && m.AllocsPerOp > 0 || p.AllocsPerOp > 0 && allocRatio > threshold {
+			status = "REGRESSION"
+			failures = append(failures, fmt.Sprintf("%s: %d allocs/op vs parent %d (%.2fx > %.2fx)",
+				name, m.AllocsPerOp, p.AllocsPerOp, allocRatio, threshold))
+		}
+		fmt.Printf("%-34s %10.0f ns/op vs %10.0f (%.2fx)  allocs %6d vs %6d (%.2fx)  %s\n",
+			name, m.NsPerOp, p.NsPerOp, nsRatio, m.AllocsPerOp, p.AllocsPerOp, allocRatio, status)
+	}
+	for _, name := range sortedKeys(parent) {
+		if _, ok := measured[name]; !ok {
+			fmt.Printf("%-34s only in parent\n", name)
+		}
+	}
+	fmt.Println()
+	return failures
+}
+
+func writeBaseline(path string, measured map[string]measurement) error {
 	b := baseline{
 		Comment: "benchdiff baseline: minimum ns/op and allocs/op of BenchmarkReg* " +
 			"over 3 passes of -benchtime 300x -count 5; regenerate with `go run ./scripts/benchdiff -update`",
@@ -148,25 +265,27 @@ func writeBaseline(path string, measured map[string]measurement) {
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("benchdiff: wrote %s (%d benchmarks)\n", path, len(measured))
+	return nil
 }
 
 // compare gates one partition against its baseline file and returns the
 // accumulated failures (threshold breaches, unknown or vanished
-// benchmarks).
-func compare(path string, measured map[string]measurement, threshold float64) []string {
+// benchmarks). checkNs false gates allocs/op alone — the A/B mode,
+// where ns/op is gated against the parent instead.
+func compare(path string, measured map[string]measurement, threshold float64, checkNs bool) []string {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(fmt.Errorf("%w (create it with `go run ./scripts/benchdiff -update`)", err))
+		return []string{fmt.Sprintf("%v (create it with `go run ./scripts/benchdiff -update`)", err)}
 	}
 	var base baseline
 	if err := json.Unmarshal(data, &base); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", path, err))
+		return []string{fmt.Sprintf("parsing %s: %v", path, err)}
 	}
 
 	var failures []string
@@ -179,7 +298,7 @@ func compare(path string, measured map[string]measurement, threshold float64) []
 		}
 		nsRatio := m.NsPerOp / b.NsPerOp
 		status := "ok"
-		if nsRatio > threshold {
+		if checkNs && nsRatio > threshold {
 			status = "REGRESSION"
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx)",
 				name, m.NsPerOp, b.NsPerOp, nsRatio, threshold))
@@ -194,8 +313,12 @@ func compare(path string, measured map[string]measurement, threshold float64) []
 					name, m.AllocsPerOp, b.AllocsPerOp, allocRatio, threshold))
 			}
 		}
-		fmt.Printf("%-34s %10.0f ns/op  (baseline %10.0f, %.2fx)%s  %s\n",
-			name, m.NsPerOp, b.NsPerOp, nsRatio, allocNote, status)
+		nsNote := ""
+		if !checkNs {
+			nsNote = " not gated"
+		}
+		fmt.Printf("%-34s %10.0f ns/op  (baseline %10.0f, %.2fx%s)%s  %s\n",
+			name, m.NsPerOp, b.NsPerOp, nsRatio, nsNote, allocNote, status)
 	}
 	for name := range base.Benchmarks {
 		if _, ok := measured[name]; !ok {
@@ -206,47 +329,70 @@ func compare(path string, measured map[string]measurement, threshold float64) []
 }
 
 // benchPasses is how many separate go-test invocations the regression
-// set runs: each pass walks the whole suite, so one benchmark's samples
-// are spread minutes apart and its minimum spans the host's load
-// swings instead of sharing a single regime.
+// set runs in each tree: each pass walks the whole suite, so one
+// benchmark's samples are spread minutes apart and its minimum spans
+// the host's load swings instead of sharing a single regime.
 const benchPasses = 3
 
-// runBenchmarks executes the regression set benchPasses times and
-// returns the minimum ns/op and allocs/op per benchmark across every
-// count of every pass.
-func runBenchmarks() (map[string]measurement, error) {
-	measured := map[string]measurement{}
-	for pass := 0; pass < benchPasses; pass++ {
-		cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^BenchmarkReg",
-			"-benchmem", "-benchtime", "300x", "-count", "5", ".")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			return nil, fmt.Errorf("go test -bench: %w\n%s", err, out)
-		}
-		for _, line := range strings.Split(string(out), "\n") {
-			m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-			if m == nil {
-				continue
+// confirmPasses is how many more alternating passes A/B mode gives the
+// benchmarks whose ns/op ratio breached the threshold, on both sides,
+// before failing them: a load burst on a shared host rarely lands on
+// the same benchmark of the same side again, a code regression does.
+const confirmPasses = 2
+
+// runBenchmarks executes the benchmarks matching pattern passes times
+// in each directory, folding the minimum ns/op and allocs/op per
+// benchmark across every count of every pass into runs[i] for dirs[i].
+// With two directories (parent and change) the passes alternate, the
+// first directory leading on even passes and the second on odd ones.
+func runBenchmarks(dirs []string, pattern string, passes int, runs []map[string]measurement) error {
+	for pass := 0; pass < passes; pass++ {
+		for k := range dirs {
+			i := k
+			if pass%2 == 1 {
+				i = len(dirs) - 1 - k
 			}
-			ns, err := strconv.ParseFloat(m[2], 64)
-			if err != nil {
-				continue
+			if err := runPass(dirs[i], pattern, runs[i]); err != nil {
+				return err
 			}
-			var allocs int64
-			if m[3] != "" {
-				allocs, _ = strconv.ParseInt(m[3], 10, 64)
-			}
-			cur, seen := measured[m[1]]
-			if !seen || ns < cur.NsPerOp {
-				cur.NsPerOp = ns
-			}
-			if !seen || allocs < cur.AllocsPerOp {
-				cur.AllocsPerOp = allocs
-			}
-			measured[m[1]] = cur
 		}
 	}
-	return measured, nil
+	return nil
+}
+
+// runPass runs the benchmarks matching pattern once in dir and folds
+// each one's minimum ns/op and allocs/op into measured.
+func runPass(dir, pattern string, measured map[string]measurement) error {
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
+		"-benchmem", "-benchtime", "300x", "-count", "5", ".")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go test -bench in %s: %w\n%s", dir, err, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			continue
+		}
+		var allocs int64
+		if m[3] != "" {
+			allocs, _ = strconv.ParseInt(m[3], 10, 64)
+		}
+		cur, seen := measured[m[1]]
+		if !seen || ns < cur.NsPerOp {
+			cur.NsPerOp = ns
+		}
+		if !seen || allocs < cur.AllocsPerOp {
+			cur.AllocsPerOp = allocs
+		}
+		measured[m[1]] = cur
+	}
+	return nil
 }
 
 func sortedKeys(m map[string]measurement) []string {
@@ -258,7 +404,7 @@ func sortedKeys(m map[string]measurement) []string {
 	return keys
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
+	return 1
 }
