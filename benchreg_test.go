@@ -328,13 +328,13 @@ func regServeRelabelings(b *testing.B) ([]*qon.Instance, [][]byte) {
 	return ins, bodies
 }
 
-// BenchmarkRegServeHitRelabeled pins the canonical cache hit: eight
+// BenchmarkRegServeHitRelabeled pins the relabeled cache hit: eight
 // pre-encoded relabelings of the warmed n=12 instance, cycled, and
 // never the warm-up body itself, so every op is admission, decode,
-// canonical identity, cache hit, remap and encode — the path a
+// relabel identity, relabel-index hit, remap and encode — the path a
 // relabeled duplicate takes, which the byte-identity index cannot
-// serve. RegServeDecode, RegServeCanon and RegServeEncode time three of
-// those stages alone.
+// serve. RegServeDecode, RegServeRelabelID, RegServeRemap and
+// RegServeEncode time those stages alone.
 func BenchmarkRegServeHitRelabeled(b *testing.B) {
 	s, err := server.New(server.Config{MaxConcurrent: 4, DegradeAt: 64, Seed: 1})
 	if err != nil {
@@ -360,6 +360,59 @@ func BenchmarkRegServeCanon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if fp, _ := qon.CanonicalID(ins[i%len(ins)]); fp == "" {
 			b.Fatal("empty fingerprint")
+		}
+	}
+}
+
+// BenchmarkRegServeRelabelID pins the relabel-identity stage of a
+// relabeled cache hit on its own: qon.RelabelID on the eight
+// relabelings RegServeHitRelabeled serves, cycled, as the server
+// decodes them (a decoded value whose mantissa fits 128 bits is
+// dyadic). Every one refines to a discrete partition.
+func BenchmarkRegServeRelabelID(b *testing.B) {
+	_, bodies := regServeRelabelings(b)
+	ins := make([]*qon.Instance, len(bodies))
+	for i, body := range bodies {
+		req, err := server.DecodeRequest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins[i] = req.Instance
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := qon.RelabelID(ins[i%len(ins)]); !ok {
+			b.Fatal("relabeling did not refine discretely")
+		}
+	}
+}
+
+// BenchmarkRegServeRemap pins the remap stage of a cache hit on its
+// own: server.RemapHit of the report the warmed n=12 instance was
+// answered with into the labels of each of the eight relabelings
+// RegServeHitRelabeled serves, cycled.
+func BenchmarkRegServeRemap(b *testing.B) {
+	s, err := server.New(server.Config{MaxConcurrent: 4, DegradeAt: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(regServeBody(b, 12))))
+	var res server.Result
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || res.Report == nil || res.Report.Best == nil {
+		b.Fatalf("warm-up request failed (err %v): %s", err, w.Body.Bytes())
+	}
+	ins, _ := regServeRelabelings(b)
+	perms := make([][]int, len(ins))
+	for i, in := range ins {
+		_, perms[i] = qon.CanonicalID(in)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if server.RemapHit(res.Report, perms[i%len(perms)]).Best == nil {
+			b.Fatal("remap lost the winner")
 		}
 	}
 }

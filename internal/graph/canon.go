@@ -92,22 +92,11 @@ func canonicalOrder(d CanonData, maxAutos int) ([]int, []byte) {
 	c.reset(d, maxAutos)
 	c.computeTwins()
 
-	// Seed colors: vertex bytes + sorted multiset of pair codes.
-	colors, sig := c.cur, c.sig
+	// Seed colors from the vertex bytes, then refine.
 	for v := 0; v < n; v++ {
-		sig = sig[:0]
-		for u := 0; u < n; u++ {
-			if u != v {
-				sig = append(sig, c.pc[v*n+u])
-			}
-		}
-		slices.Sort(sig)
-		h := fnvBytes(fnvOffset, c.vb(v))
-		for _, s := range sig {
-			h = fnvU64(h, s)
-		}
-		colors[v] = h
+		c.next[v] = fnvBytes(fnvOffset, c.vb(v))
 	}
+	c.seed(c.next)
 	c.refine(c.levels[0].colors)
 	c.search(0, 0, false)
 
@@ -140,18 +129,18 @@ const maxPooledN = 64
 // nothing however wide the search grows (only the automorphism list
 // and the row stack may grow, by doubling).
 type canonizer struct {
-	n int
+	// refiner holds n, the pair codes (pc[u·n+v]: hash of the pair
+	// bytes of (u, v)) and the refinement scratch.
+	refiner
 	// arena holds every vertex's bytes, then every ordered pair's, as
 	// the callbacks appended them; entry i spans arena[off[i]:off[i+1]],
 	// vertex v is entry v and the pair (u, v) entry n + u·n + v (empty
 	// on the diagonal).
 	arena []byte
 	off   []int
-	pc    []uint64 // pc[u·n+v]: hash of the pair bytes of (u, v)
-	twin  []bool   // twin[u·n+v]: swapping u and v is an automorphism
+	twin  []bool // twin[u·n+v]: swapping u and v is an automorphism
 
-	cur, next, sorted, sig []uint64 // refinement scratch
-	levels                 []level  // per-depth search scratch
+	levels []level // per-depth search scratch
 	// rows is a stack of candidate rows: each node appends its
 	// candidates' rows above its ancestors' and truncates on return.
 	rows []byte
@@ -291,20 +280,86 @@ func (c *canonizer) computeTwins() {
 	}
 }
 
+// refiner is the seed-and-refine stage of canonical labeling, shared
+// by canonicalOrder (on the hashes of its vertex and pair bytes) and
+// RefineColors (on caller-supplied codes): the pair codes and four
+// n-length scratch vectors.
+type refiner struct {
+	n  int
+	pc []uint64 // pc[u·n+v]: code of u's view of the pair (u, v)
+
+	cur, next, sorted, sig []uint64
+	u64                    []uint64 // RefineColors' slab; a canonizer carves from its own
+}
+
+// RefineColors runs the seed-and-refine stage of canonical labeling on
+// caller-supplied codes: vh[v] is a label-invariant code of vertex v's
+// own data and pc[u·n+v] of u's view of the pair (u, v) (the diagonal
+// is never read). It writes the refined colors to dst and reports
+// whether they are pairwise distinct. The colors are deterministic
+// functions of the codes, so isomorphic inputs get the same colors on
+// corresponding vertices, and a discrete partition leaves the input no
+// automorphism but the identity: any automorphism preserves every
+// color. A warm call allocates nothing.
+func RefineColors(dst, vh, pc []uint64) bool {
+	n := len(vh)
+	if n == 0 {
+		return true
+	}
+	r := refinerPool.Get().(*refiner)
+	u64 := slab(&r.u64, 4*n)
+	r.n, r.pc = n, pc
+	r.cur, r.next, r.sorted, r.sig = u64[:n:n], u64[n:2*n:2*n], u64[2*n:3*n:3*n], u64[3*n:4*n:4*n]
+	r.seed(vh)
+	discrete := r.refine(dst) == n
+	r.pc = nil
+	if n <= maxPooledN {
+		refinerPool.Put(r)
+	}
+	return discrete
+}
+
+// refinerPool recycles RefineColors' scratch; like canonizerPool it is
+// private to one call at a time.
+var refinerPool = sync.Pool{New: func() any { return new(refiner) }}
+
+// seed writes the starting partition into r.cur: vertex v's code vh[v]
+// folded with the sorted multiset of its pair codes, a label-invariant
+// coloring. vh may alias r.next.
+func (r *refiner) seed(vh []uint64) {
+	n := r.n
+	sig := r.sig
+	for v := 0; v < n; v++ {
+		sig = sig[:0]
+		for u := 0; u < n; u++ {
+			if u != v {
+				sig = append(sig, r.pc[v*n+u])
+			}
+		}
+		slices.Sort(sig)
+		h := vh[v]
+		for _, s := range sig {
+			h = fnvU64(h, s)
+		}
+		r.cur[v] = h
+	}
+}
+
 // refine runs WL-style color refinement to a fixed point on the
-// coloring held in c.cur and writes the result to dst: each round
+// coloring held in r.cur and writes the result to dst: each round
 // rehashes every vertex with the sorted multiset of (color, pair code)
 // over all other vertices, stopping when the class count stops
-// growing (or everything is discrete).
-func (c *canonizer) refine(dst []uint64) {
-	n := c.n
-	cur, next := c.cur, c.next
-	sig := c.sig[:0]
-	classes := c.countDistinct(cur)
+// growing (or everything is discrete). It returns the class count of
+// dst.
+func (r *refiner) refine(dst []uint64) int {
+	n := r.n
+	cur, next := r.cur, r.next
+	sig := r.sig[:0]
+	classes := r.countDistinct(cur)
 	for round := 0; round < n && classes < n; round++ {
 		for v := 0; v < n; v++ {
 			sig = sig[:0]
-			row := c.pc[v*n : v*n+n]
+			row := r.pc[v*n : v*n+n]
 			for u := 0; u < n; u++ {
 				if u != v {
 					sig = append(sig, fnvU64(cur[u], row[u]))
@@ -317,7 +372,7 @@ func (c *canonizer) refine(dst []uint64) {
 			}
 			next[v] = h
 		}
-		nc := c.countDistinct(next)
+		nc := r.countDistinct(next)
 		if nc <= classes {
 			break
 		}
@@ -325,11 +380,12 @@ func (c *canonizer) refine(dst []uint64) {
 		cur, next = next, cur
 	}
 	copy(dst, cur)
+	return classes
 }
 
 // countDistinct counts the distinct values of vs, sorting a copy.
-func (c *canonizer) countDistinct(vs []uint64) int {
-	s := c.sorted
+func (r *refiner) countDistinct(vs []uint64) int {
+	s := r.sorted
 	copy(s, vs)
 	slices.Sort(s)
 	k := 1

@@ -293,3 +293,66 @@ func TestCanonicalOrderResultsOwnTheirMemory(t *testing.T) {
 		t.Fatal("a recycled canonizer changed the result of a repeated call")
 	}
 }
+
+// codes returns RefineColors' inputs for s: vertex codes and pair
+// codes, each a label-invariant function of the data.
+func (s *testStruct) codes() (vh, pc []uint64) {
+	vh, pc = make([]uint64, s.n), make([]uint64, s.n*s.n)
+	for v := range vh {
+		vh[v] = fnvU64(fnvOffset, uint64(s.vert[v]))
+		for u := 0; u < s.n; u++ {
+			e := uint64(0)
+			if s.adj[v][u] {
+				e = 1
+			}
+			pc[v*s.n+u] = fnvU64(fnvU64(fnvU64(fnvOffset, e), uint64(s.pair[v][u])), uint64(s.pair[u][v]))
+		}
+	}
+	return vh, pc
+}
+
+// RefineColors is label-invariant — relabeled inputs get the colors of
+// their preimages, and the same discreteness — discrete on weighted
+// structures, and never discrete on a uniform clique.
+func TestRefineColors(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	discrete := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		s := randomStruct(n, rng, 2+rng.Intn(1000))
+		pi := rng.Perm(n)
+		colors, relColors := make([]uint64, n), make([]uint64, n)
+		vh, pc := s.codes()
+		ok := RefineColors(colors, vh, pc)
+		vh, pc = s.permuted(pi).codes()
+		if relOK := RefineColors(relColors, vh, pc); relOK != ok {
+			t.Fatalf("trial %d: discrete %v, relabeled %v", trial, ok, relOK)
+		}
+		for v, p := range pi {
+			if colors[v] != relColors[p] {
+				t.Fatalf("trial %d: vertex %d has color %x, its image %x", trial, v, colors[v], relColors[p])
+			}
+		}
+		if ok {
+			discrete++
+		}
+	}
+	if discrete < 150 {
+		t.Fatalf("only %d of 300 random structures refined discretely", discrete)
+	}
+	for _, n := range []int{2, 5, 9} {
+		u := randomStruct(n, rng, 1) // every value 0: only the edges differ
+		for a := range u.adj {
+			for b := range u.adj[a] {
+				u.adj[a][b] = a != b
+			}
+		}
+		vh, pc := u.codes()
+		if RefineColors(make([]uint64, n), vh, pc) {
+			t.Fatalf("uniform clique n=%d refined discretely", n)
+		}
+	}
+	if !RefineColors(nil, nil, nil) {
+		t.Fatal("the empty structure is discrete")
+	}
+}

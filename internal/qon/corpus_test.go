@@ -26,12 +26,36 @@ const (
 )
 
 // TestFingerprintCorpusStable hashes the fingerprint and canonical
-// permutation of every workload family × n 2–16 × seeds 0–5 × three
-// seeded relabelings (family/n pairs the generator refuses are
-// skipped) into one SHA-256 and compares it with the pinned digest.
+// permutation of every corpus case into one SHA-256 and compares it
+// with the pinned digest.
 func TestFingerprintCorpusStable(t *testing.T) {
 	h := sha256.New()
 	cases := 0
+	forEachCorpusInstance(t, func(_ workload.Spec, rels []*qon.Instance) {
+		for _, rel := range rels {
+			fp, pi := qon.CanonicalID(rel)
+			h.Write([]byte(fp))
+			for _, p := range pi {
+				h.Write([]byte{' '})
+				h.Write([]byte(strconv.Itoa(p)))
+			}
+			h.Write([]byte{'\n'})
+			cases++
+		}
+	})
+	got := hex.EncodeToString(h.Sum(nil))
+	if cases != corpusCases || got != corpusDigest {
+		t.Fatalf("canonical identity changed: %d cases, digest %s; pinned %d cases, digest %s",
+			cases, got, corpusCases, corpusDigest)
+	}
+}
+
+// forEachCorpusInstance walks the pinned corpus: every workload family
+// × n 2–16 × seeds 0–5 (family/n pairs the generator refuses are
+// skipped), calling fn with the spec and three seeded relabelings of
+// its instance, in a fixed order.
+func forEachCorpusInstance(t *testing.T, fn func(spec workload.Spec, rels []*qon.Instance)) {
+	t.Helper()
 	for _, fam := range workload.Families() {
 		for n := 2; n <= 16; n++ {
 			for seed := int64(0); seed < 6; seed++ {
@@ -41,22 +65,12 @@ func TestFingerprintCorpusStable(t *testing.T) {
 					continue
 				}
 				rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
-				for rep := 0; rep < 3; rep++ {
-					fp, pi := qon.CanonicalID(qon.Relabel(in, rng.Perm(n)))
-					h.Write([]byte(fp))
-					for _, p := range pi {
-						h.Write([]byte{' '})
-						h.Write([]byte(strconv.Itoa(p)))
-					}
-					h.Write([]byte{'\n'})
-					cases++
+				rels := make([]*qon.Instance, 3)
+				for rep := range rels {
+					rels[rep] = qon.Relabel(in, rng.Perm(n))
 				}
+				fn(spec, rels)
 			}
 		}
-	}
-	got := hex.EncodeToString(h.Sum(nil))
-	if cases != corpusCases || got != corpusDigest {
-		t.Fatalf("canonical identity changed: %d cases, digest %s; pinned %d cases, digest %s",
-			cases, got, corpusCases, corpusDigest)
 	}
 }

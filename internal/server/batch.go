@@ -148,7 +148,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		req.replicaTo = replicaTo
-		req.canonUS = m.Histogram(MetricCanonUS)
+		req.canonUS, req.relabelUS = m.Histogram(MetricCanonUS), m.Histogram(MetricRelabelUS)
 		if s.cacheActive() {
 			req.rawKey = bodyKey(br.raw[i])
 		}

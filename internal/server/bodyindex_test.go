@@ -90,7 +90,7 @@ func TestBodyHitMatchesCanonicalHit(t *testing.T) {
 	if !ok {
 		t.Fatal("stored body is not indexed")
 	}
-	s.cache.put(key, raw, rep, nil)
+	s.cache.put(key, raw, rep, nil, nil)
 	viaCanon, canonDoc := mustServe(t, h, body)
 	if c := countsOf(reg); !viaCanon.Cached || c.body != 1 || c.hits != 2 || c.canonical != 0 {
 		t.Fatalf("canonical replay: cached=%v counts %+v, want one more hit, no body or canonical-only hit", viaCanon.Cached, c)
@@ -156,7 +156,7 @@ func TestBodyIndexEvictionCoherence(t *testing.T) {
 		}
 		// A wrong-size report still indexed under the body: the size
 		// check must evict it, digest included, and run for real.
-		s.cache.put(key, raw, replicaEntry(1).Report, src)
+		s.cache.put(key, raw, replicaEntry(1).Report, src, nil)
 		if res, _ := mustServe(t, h, bodyA); res.Cached || res.N != 8 {
 			t.Fatalf("poisoned entry served: cached=%v n=%d", res.Cached, res.N)
 		}
@@ -219,7 +219,7 @@ func TestBodyIndexBypass(t *testing.T) {
 	}
 	// Plant an indexed entry for the body: chaos must still run it.
 	planted := replicaEntry(1)
-	s.cache.put(planted.Key, bodyKey(body), planted.Report, &bodySource{model: "qon", fp: "planted", perm: []int{0, 1, 2}})
+	s.cache.put(planted.Key, bodyKey(body), planted.Report, &bodySource{model: "qon", fp: "planted", perm: []int{0, 1, 2}}, nil)
 	h := s.Handler()
 	for i := 0; i < 2; i++ {
 		if res, _ := mustServe(t, h, body); res.Cached || res.N != 7 {
@@ -381,23 +381,23 @@ func TestResultCacheBodyIndex(t *testing.T) {
 	c := newResultCache(2)
 	rep := func(n int) *engine.Report { return &engine.Report{N: n} }
 	src := &bodySource{model: "qon", fp: "fp"}
-	c.put("a", "body-a", rep(1), src)
-	c.put("b", "body-b", rep(2), nil) // replica offer: never indexed
+	c.put("a", "body-a", rep(1), src, nil)
+	c.put("b", "body-b", rep(2), nil, nil) // replica offer: never indexed
 	if _, _, _, ok := c.getBody("body-b"); ok {
 		t.Fatal("unindexed entry reachable by digest")
 	}
 	if key, got, _, ok := c.getBody("body-a"); !ok || key != "a" || got.N != 1 {
 		t.Fatalf("getBody(body-a) = %q, %+v, %v", key, got, ok)
 	}
-	c.put("a", "body-a2", rep(10), src) // local re-store from another body
+	c.put("a", "body-a2", rep(10), src, nil) // local re-store from another body
 	if _, _, _, ok := c.getBody("body-a"); ok {
 		t.Fatal("replaced entry kept its old digest")
 	}
 	if _, got, _, ok := c.getBody("body-a2"); !ok || got.N != 10 {
 		t.Fatal("re-store did not index its own digest")
 	}
-	c.put("c", "body-c", rep(3), src) // evicts b (a was refreshed)
-	c.put("d", "body-d", rep(4), src) // evicts a
+	c.put("c", "body-c", rep(3), src, nil) // evicts b (a was refreshed)
+	c.put("d", "body-d", rep(4), src, nil) // evicts a
 	if _, _, _, ok := c.getBody("body-a2"); ok {
 		t.Fatal("LRU-evicted entry still reachable by digest")
 	}
@@ -411,10 +411,12 @@ func TestResultCacheBodyIndex(t *testing.T) {
 }
 
 // The stage histograms of the serve path record one sample per
-// request that pays the stage: a relabeled duplicate decodes, labels,
-// remaps and encodes once each; a byte-identical replay served by the
-// index remaps and encodes but neither decodes nor labels; a miss
-// remaps no cached report.
+// request that pays the stage: a miss decodes, runs the relabel
+// identity and the canonical labeling, and encodes, but remaps no
+// cached report; a relabeled duplicate served by the relabel index
+// decodes, refines, remaps and encodes once each, with no canonical
+// labeling; a byte-identical replay served by the byte-identity index
+// remaps and encodes only.
 func TestStageHistograms(t *testing.T) {
 	reg := trace.NewRegistry()
 	s, err := New(Config{MaxConcurrent: 2, Metrics: reg, Seed: 1})
@@ -423,24 +425,23 @@ func TestStageHistograms(t *testing.T) {
 	}
 	h := s.Handler()
 	body := optimizeBody(t, 8, 21)
-	stages := []*trace.Histogram{reg.Histogram(MetricDecodeUS), reg.Histogram(MetricCanonUS),
-		reg.Histogram(MetricRemapUS), reg.Histogram(MetricEncodeUS)}
+	names := []string{MetricDecodeUS, MetricRelabelUS, MetricCanonUS, MetricRemapUS, MetricEncodeUS}
 	step := func(name string, body []byte, wantCached bool, want ...int64) {
 		t.Helper()
-		var before [4]int64
-		for i, hist := range stages {
-			before[i] = hist.Count()
+		before := make([]int64, len(names))
+		for i, m := range names {
+			before[i] = reg.Histogram(m).Count()
 		}
 		if res, _ := mustServe(t, h, body); res.Cached != wantCached {
 			t.Fatalf("%s: cached=%v, want %v", name, res.Cached, wantCached)
 		}
-		for i, hist := range stages {
-			if got := hist.Count() - before[i]; got != want[i] {
-				t.Fatalf("%s: recorded %d samples of stage %d (decode, canon, remap, encode), want %d", name, got, i, want[i])
+		for i, m := range names {
+			if got := reg.Histogram(m).Count() - before[i]; got != want[i] {
+				t.Fatalf("%s: recorded %d samples of %s, want %d", name, got, m, want[i])
 			}
 		}
 	}
-	step("miss", body, false, 1, 1, 0, 1)
-	step("relabeled hit", relabeledBodies(t, 8, 21, 1)[0], true, 1, 1, 1, 1)
-	step("replay", body, true, 0, 0, 1, 1)
+	step("miss", body, false, 1, 1, 1, 0, 1)
+	step("relabeled hit", relabeledBodies(t, 8, 21, 1)[0], true, 1, 1, 0, 1, 1)
+	step("replay", body, true, 0, 0, 0, 1, 1)
 }

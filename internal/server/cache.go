@@ -22,13 +22,17 @@ const DefaultCacheSize = 256
 // the stored entry was produced by a request whose raw bytes differed
 // (a relabeling, reordered keys, different whitespace or timeout_ms),
 // so a byte-identity cache would have missed. Body hits are the subset
-// served by the byte-identity index, without decoding the body; the
-// two subsets are disjoint.
+// served by the byte-identity index, without decoding the body, and
+// disjoint from canonical hits. Relabel hits are the subset served by
+// the relabel index, decoded but without a canonical search; they are
+// disjoint from body hits, and one whose body differs from the
+// storing body's is a canonical hit too.
 const (
 	MetricCacheHits     = "server.cache.hits"
 	MetricCacheMisses   = "server.cache.misses"
 	MetricCanonicalHits = "server.cache.canonical_hits"
 	MetricBodyHits      = "server.cache.body_hits"
+	MetricRelabelHits   = "server.cache.relabel_hits"
 	// MetricCacheMismatch counts hits whose stored report disagreed with
 	// the requesting instance's size — a corrupt or poisoned entry that
 	// key↔report binding should make impossible. The entry is evicted
@@ -59,44 +63,68 @@ type bodySource struct {
 	perm  []int
 }
 
+// relabelSource is what the relabel index needs to serve any
+// relabeling of an entry's instance with a discrete refinement: the
+// qon.RelabelID digest, the fingerprint, and perm = π∘σ⁻¹, which maps
+// the color-ordered instance into canonical space. A request with the
+// same digest maps its labels into canonical space through perm∘σ of
+// its own σ — bit for bit the permutation CanonicalID would return
+// (DESIGN.md § Relabeling index).
+type relabelSource struct {
+	digest [sha256.Size]byte
+	fp     string
+	perm   []int
+}
+
 // cacheEntry is one stored result: the full engine report of a
 // certified, full-rung run, with Best.Sequence remapped into the
 // instance's canonical label space, plus the raw source key of the
 // request that produced it (canonical-hit attribution). src is set
 // only on entries a local /optimize request stored; the byte-identity
-// index maps rawKey, that body's digest, back to this entry.
+// index maps rawKey, that body's digest, back to this entry. rl is
+// set, when the instance refines discretely, by the request that
+// stored the entry or else by the first that hit it; the relabel
+// index maps rl.digest back to this entry.
 type cacheEntry struct {
 	key    string
 	rawKey string
 	rep    *engine.Report
 	src    *bodySource
+	rl     *relabelSource
 }
 
 // resultCache is a mutex-guarded LRU over canonical instance keys with
-// a second, byte-identity index: body digest → the entry its body
-// stored. Only the storing body is indexed, so the index never holds
-// more than the LRU does, and it loses a digest whenever its entry
-// leaves the cache or is replaced. Stored reports are treated as
-// immutable by all readers (handlers only marshal them), so one
-// *engine.Report may be served concurrently.
+// two more indexes: body digest → the entry its body stored
+// (byte-identity index), and relabel digest → the entry whose
+// instance has it (relabel index). Each entry carries at most one key
+// of each, so neither index holds more than the LRU does, and both
+// lose an entry's key whenever it leaves the cache or is replaced.
+// Stored reports are treated as immutable by all readers (handlers
+// only marshal them), so one *engine.Report may be served
+// concurrently.
 type resultCache struct {
-	mu     sync.Mutex
-	max    int
-	ll     *list.List               // front = most recently used
-	items  map[string]*list.Element // key → element holding *cacheEntry
-	bodies map[string]*list.Element // body digest → element it stored (src set)
+	mu       sync.Mutex
+	max      int
+	ll       *list.List                          // front = most recently used
+	items    map[string]*list.Element            // key → element holding *cacheEntry
+	bodies   map[string]*list.Element            // body digest → element it stored (src set)
+	relabels map[[sha256.Size]byte]*list.Element // relabel digest → element (rl set)
 }
 
 func newResultCache(max int) *resultCache {
 	return &resultCache{
-		max:    max,
-		ll:     list.New(),
-		items:  make(map[string]*list.Element),
-		bodies: make(map[string]*list.Element),
+		max:      max,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+		bodies:   make(map[string]*list.Element),
+		relabels: make(map[[sha256.Size]byte]*list.Element),
 	}
 }
 
-func (c *resultCache) get(key string) (*engine.Report, string, bool) {
+// get looks an entry up by key. A non-nil rl, the requester's relabel
+// source, is attached to an entry that has none, so the next
+// relabeling of the instance is served by the relabel index.
+func (c *resultCache) get(key string, rl *relabelSource) (*engine.Report, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -105,7 +133,25 @@ func (c *resultCache) get(key string) (*engine.Report, string, bool) {
 	}
 	c.ll.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
+	if rl != nil && ent.rl == nil {
+		ent.rl = rl
+		c.indexRelabel(el)
+	}
 	return ent.rep, ent.rawKey, true
+}
+
+// getRelabel looks an entry up by the relabel digest of its instance,
+// refreshing it like get does.
+func (c *resultCache) getRelabel(digest [sha256.Size]byte) (key, rawKey string, rep *engine.Report, rl *relabelSource, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.relabels[digest]
+	if !ok {
+		return "", "", nil, nil, false
+	}
+	c.ll.MoveToFront(el)
+	ent := el.Value.(*cacheEntry)
+	return ent.key, ent.rawKey, ent.rep, ent.rl, true
 }
 
 // getBody looks an entry up by the digest of the /optimize body that
@@ -124,21 +170,23 @@ func (c *resultCache) getBody(digest string) (key string, rep *engine.Report, sr
 
 // put stores rep under key. A non-nil src marks a store by a local
 // /optimize request whose body digest is rawKey and indexes the entry
-// under it; nil (replica offers, batch jobs) stores it unindexed.
-// Replacing an entry drops the digest of the body that stored the old
-// one.
-func (c *resultCache) put(key, rawKey string, rep *engine.Report, src *bodySource) {
+// under it; nil (replica offers, batch jobs) stores it unindexed. A
+// non-nil rl indexes the entry under its relabel digest; nil (replica
+// offers, instances that do not refine discretely) leaves that to the
+// first request that hits it. Replacing an entry drops both digests
+// of the old one.
+func (c *resultCache) put(key, rawKey string, rep *engine.Report, src *bodySource, rl *relabelSource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		c.unindex(el)
-		ent.rep, ent.rawKey, ent.src = rep, rawKey, src
+		ent.rep, ent.rawKey, ent.src, ent.rl = rep, rawKey, src, rl
 		c.index(el)
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, rawKey: rawKey, rep: rep, src: src})
+	el := c.ll.PushFront(&cacheEntry{key: key, rawKey: rawKey, rep: rep, src: src, rl: rl})
 	c.items[key] = el
 	c.index(el)
 	for c.ll.Len() > c.max {
@@ -157,26 +205,48 @@ func (c *resultCache) evict(key string) {
 	}
 }
 
-// remove unlinks el from the LRU and both indexes. Callers hold c.mu.
+// remove unlinks el from the LRU and all indexes. Callers hold c.mu.
 func (c *resultCache) remove(el *list.Element) {
 	c.unindex(el)
 	c.ll.Remove(el)
 	delete(c.items, el.Value.(*cacheEntry).key)
 }
 
-// index maps the digest of el's storing body to el. Callers hold c.mu.
+// index maps the digest of el's storing body and its relabel digest to
+// el. Callers hold c.mu.
 func (c *resultCache) index(el *list.Element) {
 	if ent := el.Value.(*cacheEntry); ent.src != nil {
 		c.bodies[ent.rawKey] = el
 	}
+	c.indexRelabel(el)
 }
 
-// unindex drops el's body digest from the byte-identity index. Callers
-// hold c.mu.
+// indexRelabel maps el's relabel digest to el. Equal digests mean
+// relabelings of one instance, hence one key, so a digest already
+// held by another entry is only possible through a SHA-256 collision;
+// that entry then loses it, keeping one digest per entry. Callers hold
+// c.mu.
+func (c *resultCache) indexRelabel(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	if ent.rl == nil {
+		return
+	}
+	if old, ok := c.relabels[ent.rl.digest]; ok && old != el {
+		old.Value.(*cacheEntry).rl = nil
+	}
+	c.relabels[ent.rl.digest] = el
+}
+
+// unindex drops el's digests from both indexes. Callers hold c.mu.
 func (c *resultCache) unindex(el *list.Element) {
-	if ent := el.Value.(*cacheEntry); ent.src != nil {
+	ent := el.Value.(*cacheEntry)
+	if ent.src != nil {
 		delete(c.bodies, ent.rawKey)
 		ent.src = nil
+	}
+	if ent.rl != nil {
+		delete(c.relabels, ent.rl.digest)
+		ent.rl = nil
 	}
 }
 
@@ -192,6 +262,13 @@ func (c *resultCache) bodyLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.bodies)
+}
+
+// relabelLen reports the number of indexed relabel digests (tests).
+func (c *resultCache) relabelLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.relabels)
 }
 
 // keys snapshots every cached key, MRU first. The replication

@@ -146,26 +146,26 @@ func TestCacheDisabledAndChaosBypass(t *testing.T) {
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
 	rep := func(n int) *engine.Report { return &engine.Report{N: n} }
-	c.put("a", "raw-a", rep(1), nil)
-	c.put("b", "raw-b", rep(2), nil)
-	if _, _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
+	c.put("a", "raw-a", rep(1), nil, nil)
+	c.put("b", "raw-b", rep(2), nil, nil)
+	if _, _, ok := c.get("a", nil); !ok { // refresh a; b becomes LRU
 		t.Fatal("a evicted below capacity")
 	}
-	c.put("c", "raw-c", rep(3), nil)
+	c.put("c", "raw-c", rep(3), nil, nil)
 	if c.len() != 2 {
 		t.Fatalf("cache holds %d entries, cap 2", c.len())
 	}
-	if _, _, ok := c.get("b"); ok {
+	if _, _, ok := c.get("b", nil); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
-	if _, _, ok := c.get("a"); !ok {
+	if _, _, ok := c.get("a", nil); !ok {
 		t.Fatal("refreshed entry a was evicted")
 	}
-	if got, raw, ok := c.get("c"); !ok || got.N != 3 || raw != "raw-c" {
+	if got, raw, ok := c.get("c", nil); !ok || got.N != 3 || raw != "raw-c" {
 		t.Fatalf("c lookup = %+v, %q, %v", got, raw, ok)
 	}
-	c.put("c", "raw-c2", rep(30), nil) // overwrite in place
-	if got, raw, _ := c.get("c"); got.N != 30 || raw != "raw-c2" {
+	c.put("c", "raw-c2", rep(30), nil, nil) // overwrite in place
+	if got, raw, _ := c.get("c", nil); got.N != 30 || raw != "raw-c2" {
 		t.Fatalf("overwrite kept stale report N=%d rawKey=%q", got.N, raw)
 	}
 }

@@ -69,14 +69,15 @@ func relabeledBodies(t *testing.T, n int, seed int64, k int) [][]byte {
 // TestServeHitAllocBudget pins the allocation budgets of the two
 // cache-hit serve paths on a warmed n=12 instance. A byte-identical
 // replay is served from the byte-identity index — no decode, no
-// canonical labeling — and measures 58 allocs. A relabeled duplicate
-// decodes and canonically labels first and measures 172 (the pooled
-// path took a hit from ~4,215 to ~1,240; dropping the per-request
-// re-marshal of the decoded instance took it to 891; the one-pass
-// instance decoder and the slab-allocated canonical labeling to 187;
-// the single-pass body read to 170). Both include the remap's two
-// allocations: the report shell with its BestRecord, and the
-// sequence. Each budget is the -race measurement plus about 25%: the
+// canonical labeling — and measures 38 allocs. A relabeled duplicate
+// decodes and is served by the relabel index, and measures 82 (the
+// pooled path took a hit from ~4,215 to ~1,240; dropping the
+// per-request re-marshal of the decoded instance took it to 891; the
+// one-pass instance decoder and the slab-allocated canonical labeling
+// to 187; the single-pass body read to 170; the pooled canonizer and
+// codec to 86; the relabel index, which skips the canonical search, to
+// 82). Both include the remap's two allocations: the report shell with
+// its BestRecord, and the sequence. Each budget is the -race measurement plus about 25%: the
 // race detector's sync.Pool drops a quarter of all Puts, and a dropped
 // encoder costs a dozen allocations, so the replay measures 63–84 and
 // the relabeled path 218–249 there. Anything above means the index

@@ -203,7 +203,7 @@ func (s *Server) handleCacheOffer(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
-		s.cache.put(ent.Key, ent.RawKey, ent.Report, nil)
+		s.cache.put(ent.Key, ent.RawKey, ent.Report, nil, nil)
 		resp.Accepted++
 	}
 	s.cfg.Metrics.Counter(MetricCacheOfferAccepted).Add(int64(resp.Accepted))

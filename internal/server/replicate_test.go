@@ -105,7 +105,7 @@ func TestCacheOfferValidatesAtTrustBoundary(t *testing.T) {
 	if s.cache.len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", s.cache.len())
 	}
-	if rep, raw, ok := s.cache.get(good.Key); !ok || raw != good.RawKey || !rep.Best.Certified {
+	if rep, raw, ok := s.cache.get(good.Key, nil); !ok || raw != good.RawKey || !rep.Best.Certified {
 		t.Fatalf("stored entry lookup = %v/%q/%v", rep, raw, ok)
 	}
 	if a, r := reg.Counter(MetricCacheOfferAccepted).Value(), reg.Counter(MetricCacheOfferRejected).Value(); a != 1 || r != 2 {
@@ -170,7 +170,7 @@ func TestCacheDigestKeysExportRoundTrip(t *testing.T) {
 	var want []string
 	for i := 0; i < 5; i++ {
 		ent := replicaEntry(i)
-		s.cache.put(ent.Key, ent.RawKey, ent.Report, nil)
+		s.cache.put(ent.Key, ent.RawKey, ent.Report, nil, nil)
 		want = append(want, ent.Key)
 	}
 
@@ -449,7 +449,7 @@ func TestCacheHitMismatchedEntryEvictedNotServed(t *testing.T) {
 		t.Fatal("no cache key resolved")
 	}
 	poison := replicaEntry(1).Report // n=3, certified
-	s.cache.put(key, "poison-raw", poison, nil)
+	s.cache.put(key, "poison-raw", poison, nil, nil)
 
 	resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -471,7 +471,7 @@ func TestCacheHitMismatchedEntryEvictedNotServed(t *testing.T) {
 		t.Fatalf("cache.mismatch = %d, want 1", v)
 	}
 	// The corrupt entry is gone; the re-run's real result replaced it.
-	if rep, _, ok := s.cache.get(key); !ok || rep.N != 6 {
+	if rep, _, ok := s.cache.get(key, nil); !ok || rep.N != 6 {
 		t.Fatalf("cache after mismatch: ok=%v n=%d, want the 6-relation re-run", ok, rep.N)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -97,6 +98,13 @@ type Request struct {
 	fp      string
 	perm    []int
 	fpErr   error
+	// relabelUS, when set, receives the time qon.RelabelID takes
+	// (MetricRelabelUS).
+	relabelUS *trace.Histogram
+	rlDone    bool
+	rlOK      bool
+	sigma     []int
+	rlDigest  [sha256.Size]byte
 }
 
 // DecodeRequest parses and validates one request body. Errors are
@@ -538,6 +546,50 @@ func (r *Request) CanonicalID() (string, []int, error) {
 	}
 	r.canonUS.Observe(time.Since(t0).Microseconds())
 	return r.fp, r.perm, nil
+}
+
+// relabelID resolves the request's relabel identity (qon.RelabelID):
+// the color order sigma and the digest of the instance relabeled by it,
+// the key of the cache's relabel index. ok is false for QO_H requests,
+// for workloads that do not generate, and for instances whose
+// refinement is not discrete; those take the canonical path alone.
+// Computed at most once per request and timed into relabelUS. Not safe
+// for concurrent use on one Request.
+func (r *Request) relabelID() (sigma []int, digest [sha256.Size]byte, ok bool) {
+	if r.rlDone {
+		return r.sigma, r.rlDigest, r.rlOK
+	}
+	r.rlDone = true
+	if r.model() == "qoh" {
+		return nil, digest, false
+	}
+	in, err := r.qonInstance()
+	if err != nil {
+		return nil, digest, false
+	}
+	t0 := time.Now()
+	r.sigma, r.rlDigest, r.rlOK = qon.RelabelID(in)
+	r.relabelUS.Observe(time.Since(t0).Microseconds())
+	return r.sigma, r.rlDigest, r.rlOK
+}
+
+// relabelSource returns what the relabel index stores for this
+// request's instance — its digest, fingerprint and π∘σ⁻¹ — or nil when
+// either identity is unresolved or the refinement is not discrete.
+func (r *Request) relabelSource() *relabelSource {
+	sigma, digest, ok := r.relabelID()
+	if !ok {
+		return nil
+	}
+	fp, perm, err := r.CanonicalID()
+	if err != nil {
+		return nil
+	}
+	src := &relabelSource{digest: digest, fp: fp, perm: make([]int, len(perm))}
+	for v, p := range sigma {
+		src.perm[p] = perm[v]
+	}
+	return src
 }
 
 // BatchRequest is the JSON body of POST /optimize/batch.

@@ -74,6 +74,7 @@ const (
 	MetricRequestWallUS = "server.request.wall_us" // histogram: accepted-request wall time (µs)
 	MetricDecodeUS      = "server.decode_us"       // histogram: DecodeRequest time of a /optimize body (µs)
 	MetricCanonUS       = "server.canon_us"        // histogram: canonical labeling time, once per request that computes it (µs)
+	MetricRelabelUS     = "server.relabel_us"      // histogram: qon.RelabelID time, once per QO_N request that consults the cache (µs)
 	MetricRemapUS       = "server.remap_us"        // histogram: remapping a cached report into the requester's labels, once per cache hit (µs)
 	MetricEncodeUS      = "server.encode_us"       // histogram: WriteJSON time of a /optimize success document (µs)
 )
@@ -502,7 +503,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.rawKey, req.wholeBody = rawKey, true
-		req.canonUS = m.Histogram(MetricCanonUS)
+		req.canonUS, req.relabelUS = m.Histogram(MetricCanonUS), m.Histogram(MetricRelabelUS)
 		model = req.model()
 		if s.peerAuthed(r) {
 			// The fan-out hint is only honored from authenticated cluster
@@ -546,7 +547,7 @@ type jobOutcome struct {
 	rep       *engine.Report // in the requester's label space
 	rung      Rung           // rung the result was served at (full for cache hits)
 	cached    bool
-	cachePath string             // lookup that served a cache hit: cachePathBody or cachePathCanonical
+	cachePath string             // lookup that served a cache hit: cachePathBody, cachePathRelabel or cachePathCanonical
 	routing   *classify.Decision // non-nil when the adaptive router picked the ensemble
 	fp        string             // instance fingerprint when canonical identity resolved
 	queueMS   float64
@@ -582,14 +583,21 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 	// Cache and singleflight are bypassed under chaos injection: fault
 	// behaviour must stay per-request, never served from memory. Stored
 	// reports live in canonical label space; hits remap them into the
-	// requester's labels through the inverse canonical permutation.
+	// requester's labels through the inverse canonical permutation. The
+	// relabel index comes first: it finds that permutation without a
+	// canonical search (DESIGN.md § Relabeling index).
 	var key string
+	var rl *relabelSource
 	if s.cacheActive() {
+		if s.serveRelabelHit(&out, req, accepted) {
+			return out
+		}
 		key = req.Key()
 		out.fp, _, _ = req.CanonicalID()
+		rl = req.relabelSource()
 	}
 	for key != "" {
-		if rep, storedRaw, ok := s.cache.get(key); ok {
+		if rep, storedRaw, ok := s.cache.get(key, rl); ok {
 			// A hit from an entry some other source stored exists only
 			// because of canonical keying.
 			_, perm, _ := req.CanonicalID()
@@ -658,7 +666,7 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 			if req.wholeBody {
 				src = &bodySource{model: req.model(), fp: fp, perm: perm}
 			}
-			s.cache.put(key, req.rawKey, canon, src)
+			s.cache.put(key, req.rawKey, canon, src, rl)
 			// Replicate the canonical copy to the ring successors the
 			// coordinator named, asynchronously — the response below never
 			// waits on a peer. Offers carry no body, so replicas never
@@ -686,6 +694,7 @@ func (s *Server) serveAdmitted(ctx context.Context, req *Request, rung Rung, acc
 // Cache paths, the server.request span's cache_path field on a hit.
 const (
 	cachePathBody      = "body"      // byte-identity index: the body that stored the entry, replayed
+	cachePathRelabel   = "relabel"   // relabel index: decoded, refined, no canonical search
 	cachePathCanonical = "canonical" // canonical key: decoded and canonically labeled first
 )
 
@@ -711,10 +720,33 @@ func (s *Server) serveBodyHit(rawKey string, accepted time.Time) (out jobOutcome
 	return out, src.model
 }
 
+// serveRelabelHit serves a decoded request from the relabel index: a
+// request whose instance refines discretely and whose relabel digest
+// an entry carries maps into canonical space through rl.perm∘σ, with
+// no canonical search. It reports false on an index miss, a declined
+// refinement or a failed size check; the caller then takes the
+// canonical path.
+func (s *Server) serveRelabelHit(out *jobOutcome, req *Request, accepted time.Time) bool {
+	sigma, digest, ok := req.relabelID()
+	if !ok {
+		return false
+	}
+	key, storedRaw, rep, rl, found := s.cache.getRelabel(digest)
+	if !found || len(rl.perm) != len(sigma) {
+		return false
+	}
+	perm := make([]int, len(sigma))
+	for v, p := range sigma {
+		perm[v] = rl.perm[p]
+	}
+	out.fp = rl.fp
+	return s.serveHit(out, key, rep, perm, cachePathRelabel, storedRaw != req.rawKey, accepted)
+}
+
 // serveHit fills out with a cache hit on rep, the canonical-space
 // report stored under key, for a requester whose labels map into
-// canonical space through perm. Both cache paths serve through it, so
-// they share the size-binding check, the metrics and the remap.
+// canonical space through perm. All three cache paths serve through
+// it, so they share the size-binding check, the metrics and the remap.
 // canonicalOnly marks a hit a byte-identity cache would have missed.
 // A stored report is always a certified full-rung result, so the hit
 // is served at the full rung whatever rung the request was admitted at.
@@ -731,8 +763,11 @@ func (s *Server) serveHit(out *jobOutcome, key string, rep *engine.Report, perm 
 		return false
 	}
 	m.Counter(MetricCacheHits).Inc()
-	if path == cachePathBody {
+	switch path {
+	case cachePathBody:
 		m.Counter(MetricBodyHits).Inc()
+	case cachePathRelabel:
+		m.Counter(MetricRelabelHits).Inc()
 	}
 	if canonicalOnly {
 		m.Counter(MetricCanonicalHits).Inc()
@@ -745,10 +780,18 @@ func (s *Server) serveHit(out *jobOutcome, key string, rep *engine.Report, perm 
 	out.cached = true
 	out.cachePath = path
 	t0 := time.Now()
-	out.rep = remap(rep, invertPerm(perm))
+	out.rep = RemapHit(rep, perm)
 	m.Histogram(MetricRemapUS).Observe(time.Since(t0).Microseconds())
 	out.wallMS = float64(wall.Microseconds()) / 1000
 	return true
+}
+
+// RemapHit is the remap stage of a cache hit (MetricRemapUS): it
+// returns the stored canonical-space report rep in the labels of a
+// requester whose labels map into canonical space through perm
+// (perm[v] = canonical label of v). rep is not modified.
+func RemapHit(rep *engine.Report, perm []int) *engine.Report {
+	return remap(rep, invertPerm(perm))
 }
 
 // remap returns rep with every entry of Best.Sequence mapped through
