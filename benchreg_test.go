@@ -73,6 +73,39 @@ func BenchmarkRegGreedy(b *testing.B) {
 	}
 }
 
+// BenchmarkRegKBZ pins the KBZ rank algorithm at n=16 (a cyclic
+// graph, so each op also builds the spanning tree).
+func BenchmarkRegKBZ(b *testing.B) {
+	in := regInstance(b, 16)
+	k := opt.NewKBZ()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.Optimize(ctx, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegGreedyTierCliquered pins the greedy tier (min-size,
+// min-cost, kbz) on the cliquered-yes family at n=14: the f_N costs tie
+// everywhere, so most comparisons fall inside the guard band and take
+// the exact fallback.
+func BenchmarkRegGreedyTierCliquered(b *testing.B) {
+	in, err := (&workload.Spec{Shape: string(workload.CliqueredYes), N: 14}).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tier := []opt.Optimizer{opt.NewGreedy(opt.GreedyMinSize), opt.NewGreedy(opt.GreedyMinCost), opt.NewKBZ()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range tier {
+			if _, err := o.Optimize(ctx, in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkRegCostEval pins one full QO_N cost evaluation at n=32.
 func BenchmarkRegCostEval(b *testing.B) {
 	in := regInstance(b, 32)

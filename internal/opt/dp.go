@@ -188,7 +188,7 @@ func (d DP) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 	// N(mask) = N(mask\{low}) · factor(low, mask\{low}), then the
 	// recurrence's argmin over the admissible last joins.
 	st := in.Stats()
-	minw := newMinWIndex(in)
+	order := qon.NewWOrder(in)
 	step := func(ws *dpScratch, mask int) {
 		low := bits.TrailingZeros(uint(mask))
 		rest := mask &^ (1 << low)
@@ -216,7 +216,7 @@ func (d DP) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 			if rest == mask || parent[rest] < 0 || joinable[v]&rest == 0 {
 				continue // v not in mask, unreachable prefix, or a cartesian product
 			}
-			cand.Set(dp[rest]).MulAdd(size[rest], minw.min(in, v, rest))
+			cand.Set(dp[rest]).MulAdd(size[rest], order.MinMask(in, v, rest))
 			candidates++
 			if bestV < 0 || cand.CmpScratch(best) < 0 {
 				cand, best = best, cand

@@ -27,6 +27,14 @@ const (
 // connected to the prefix are preferred over cartesian products.
 // Anytime: cancellation between start vertices returns the best
 // complete sequence built so far.
+//
+// Every comparison runs on the Tier-1 kernel (qon.Instance.CmpLog2): a
+// step compares the candidates' log₂ keys, kept incrementally at O(1)
+// per candidate, and the choice among the n starts compares
+// LogCoster.CostLog2. Only a margin inside the guard band pays for
+// exact arithmetic, replayed in the rounding order of the exact
+// comparison it stands for, so the returned sequence and cost are the
+// ones an all-exact greedy returns.
 type Greedy struct {
 	rule GreedyRule
 	cfg  options
@@ -53,67 +61,224 @@ func (g Greedy) Optimize(ctx context.Context, in *qon.Instance) (*Result, error)
 		return nil, fmt.Errorf("opt: empty instance")
 	}
 	in = g.cfg.instrument(in)
-	// One shared index serves every start vertex: W is read-only, and
-	// min_{u∈X} W[v][u] over the sorted order is the same value in.MinW
-	// would compute per candidate, without the per-call comparisons.
-	ix := newMinWIndex(in)
-	var best *Result
+	r := newGreedyRun(in, g.rule)
+	defer r.release()
+	best := incumbent{in: in, lc: r.lc}
 	for first := 0; first < n; first++ {
-		if best != nil && cancelled(ctx) {
+		if best.z != nil && cancelled(ctx) {
 			break
 		}
-		z := g.buildFrom(in, ix, first)
-		c := in.Cost(z)
-		if best == nil || c.Less(best.Cost) {
-			best = &Result{Sequence: z, Cost: c}
-		}
+		best.offer(r.buildFrom(first))
 	}
-	return best, nil
+	return best.result(), nil
 }
 
-func (g Greedy) buildFrom(in *qon.Instance, ix *minWIndex, first int) qon.Sequence {
+// greedyRun is one Optimize call's state, reused across the n starts.
+//
+// A step compares candidates by key[v]: under min-size the log₂ of v's
+// extend factor t_v·∏_{u∈X} s_vu, under min-cost the log₂ of
+// min_{u∈X} W[v][u]. Both keys omit the factor N(X) every candidate
+// shares, and both are kept incrementally as the prefix X grows. A
+// margin beyond the guard band on the keys decides the exact keys
+// N(X)·factor (or N(X)·min W) the same way, because N(X) is positive and
+// the 256-bit rounding of a product moves it by far less than the band.
+type greedyRun struct {
+	in   *qon.Instance
+	lc   *qon.LogCoster
+	rule GreedyRule
+
+	z      qon.Sequence
+	x      *graph.Bitset // members of z
+	conn   []bool        // conn[v]: v has a query-graph edge into z
+	key    []float64     // log₂ step key, see above
+	minU   []int32       // min-cost: the inner attaining min_{u∈z} W[v][u]
+	wPos   []int32       // min-cost: wPos[v·n+u] = u's place in WOrder[v]
+	sized  int           // size holds N(z[:sized]) exactly
+	xSized *graph.Bitset // members of z[:sized]
+
+	size, factor, cand, pick *num.Scratch
+}
+
+func newGreedyRun(in *qon.Instance, rule GreedyRule) *greedyRun {
 	n := in.N()
-	z := make(qon.Sequence, 0, n)
-	x := graph.NewBitset(n)
-	size := num.NewScratch()
-	factor := num.NewScratch()
-	key := num.NewScratch()
-	pickKey := num.NewScratch()
-	defer size.Release()
-	defer factor.Release()
-	defer key.Release()
-	defer pickKey.Release()
-	in.ExtendInto(factor, first, x)
-	size.SetInt64(1).MulScratch(factor)
-	z = append(z, first)
-	x.Add(first)
-	for len(z) < n {
-		pick, pickConnected := -1, false
+	r := &greedyRun{
+		in:     in,
+		lc:     qon.NewLogCoster(in),
+		rule:   rule,
+		z:      make(qon.Sequence, 0, n),
+		x:      graph.NewBitset(n),
+		conn:   make([]bool, n),
+		key:    make([]float64, n),
+		xSized: graph.NewBitset(n),
+		size:   num.NewScratch(),
+		factor: num.NewScratch(),
+		cand:   num.NewScratch(),
+		pick:   num.NewScratch(),
+	}
+	if rule == GreedyMinCost {
+		r.minU = make([]int32, n)
+		r.wPos = make([]int32, n*n)
+		for v, us := range r.lc.WOrder() {
+			for i, u := range us {
+				r.wPos[v*n+int(u)] = int32(i)
+			}
+		}
+	}
+	return r
+}
+
+func (r *greedyRun) release() {
+	r.size.Release()
+	r.factor.Release()
+	r.cand.Release()
+	r.pick.Release()
+}
+
+// buildFrom returns the greedy sequence starting at first. The slice
+// is reused by the next call.
+func (r *greedyRun) buildFrom(first int) qon.Sequence {
+	n := r.in.N()
+	r.z = r.z[:0]
+	r.x.Clear()
+	r.xSized.Clear()
+	r.sized = 0
+	for v := 0; v < n; v++ {
+		r.conn[v] = false
+		r.key[v] = r.lc.LogT(v)
+		if r.rule == GreedyMinCost {
+			r.minU[v] = -1
+		}
+	}
+	r.place(first)
+	for len(r.z) < n {
+		pick, pickConnected, pickExact := -1, false, false
 		for v := 0; v < n; v++ {
-			if x.Has(v) {
+			if r.x.Has(v) {
 				continue
 			}
-			connected := in.Q.Neighbors(v).IntersectCount(x) > 0
+			connected := r.conn[v]
 			// Prefer connected extensions over cartesian products.
 			if pick >= 0 && pickConnected && !connected {
 				continue
 			}
-			key.SetScratch(size)
-			if g.rule == GreedyMinSize {
-				in.ExtendInto(factor, v, x)
-				key.MulScratch(factor)
-			} else {
-				key.Mul(ix.minBitset(in, v, x))
+			if pick < 0 || (connected && !pickConnected) {
+				pick, pickConnected, pickExact = v, connected, false
+				continue
 			}
-			if pick < 0 || (connected && !pickConnected) || key.CmpScratch(pickKey) < 0 {
-				pick, pickConnected = v, connected
-				pickKey.SetScratch(key)
+			candExact := false
+			c := r.in.CmpLog2(r.key[v], r.key[pick], func() int {
+				if !pickExact {
+					r.exactKey(r.pick, pick)
+					pickExact = true
+				}
+				r.exactKey(r.cand, v)
+				candExact = true
+				return r.cand.CmpScratch(r.pick)
+			})
+			if c < 0 {
+				pick, pickExact = v, candExact
+				if candExact {
+					r.cand, r.pick = r.pick, r.cand
+				}
 			}
 		}
-		in.ExtendInto(factor, pick, x)
-		size.MulScratch(factor)
-		z = append(z, pick)
-		x.Add(pick)
+		r.place(pick)
 	}
-	return z
+	return r.z
+}
+
+// place appends v to the prefix and updates every outside vertex's
+// connectivity and key.
+func (r *greedyRun) place(v int) {
+	r.z = append(r.z, v)
+	r.x.Add(v)
+	n := r.in.N()
+	for u := 0; u < n; u++ {
+		if r.x.Has(u) {
+			continue
+		}
+		if r.in.Q.HasEdge(u, v) {
+			r.conn[u] = true
+		}
+		if r.rule == GreedyMinSize {
+			r.key[u] += r.lc.LogS(u, v)
+		} else if m := r.minU[u]; m < 0 || r.wPos[u*n+v] < r.wPos[u*n+int(m)] {
+			r.minU[u] = int32(v)
+			r.key[u] = r.lc.LogW(u, v)
+		}
+	}
+}
+
+// exactKey sets dst to v's exact step key against the current prefix,
+// by the operations an all-exact step performs: N(X) (catching the
+// exact size up along the prefix, ascending-u extend factors, one
+// rounding per product) times v's extend factor, or times
+// min_{u∈X} W[v][u].
+func (r *greedyRun) exactKey(dst *num.Scratch, v int) {
+	in := r.in
+	if r.sized == 0 {
+		r.size.SetInt64(1)
+	}
+	for ; r.sized < len(r.z); r.sized++ {
+		u := r.z[r.sized]
+		in.ExtendInto(r.factor, u, r.xSized)
+		r.size.MulScratch(r.factor)
+		r.xSized.Add(u)
+	}
+	dst.SetScratch(r.size)
+	if r.rule == GreedyMinSize {
+		in.ExtendInto(r.factor, v, r.x)
+		dst.MulScratch(r.factor)
+	} else {
+		dst.Mul(in.W[v][r.minU[v]])
+	}
+}
+
+// incumbent keeps the cheapest complete sequence offered so far,
+// ranked by LogCoster.CostLog2 under qon's CmpLog2 rule. An exact cost
+// is computed only for a near-tie, where it is memoized for the
+// incumbent, and once for the returned sequence. Ties keep the earlier
+// offer, as an exact Less loop does.
+type incumbent struct {
+	in    *qon.Instance
+	lc    *qon.LogCoster
+	z     qon.Sequence // nil until the first offer
+	e     float64      // CostLog2(z)
+	c     num.Num      // C(z), when known
+	known bool
+}
+
+// offer considers z; the incumbent copies it when adopting.
+func (b *incumbent) offer(z qon.Sequence) {
+	e := b.lc.CostLog2(z)
+	if b.z == nil {
+		b.adopt(z, e)
+		return
+	}
+	var c num.Num
+	if b.in.CmpLog2(e, b.e, func() int {
+		c = b.in.Cost(z)
+		return c.Cmp(b.cost())
+	}) < 0 {
+		b.adopt(z, e)
+		b.c, b.known = c, c.IsValid()
+	}
+}
+
+func (b *incumbent) adopt(z qon.Sequence, e float64) {
+	b.z = append(b.z[:0], z...)
+	b.e, b.known = e, false
+}
+
+// cost returns the incumbent's exact cost, memoized.
+func (b *incumbent) cost() num.Num {
+	if !b.known {
+		b.c, b.known = b.in.Cost(b.z), true
+	}
+	return b.c
+}
+
+// result returns the incumbent with its exact cost.
+func (b *incumbent) result() *Result {
+	return &Result{Sequence: b.z, Cost: b.cost()}
 }

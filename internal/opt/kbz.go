@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
 
 	"approxqo/internal/graph"
@@ -50,73 +51,187 @@ func (k KBZ) Optimize(ctx context.Context, in *qon.Instance) (*Result, error) {
 	if !in.Q.IsConnected() {
 		return nil, fmt.Errorf("opt: kbz requires a connected query graph")
 	}
-	tree := in.Q
+	r := newKBZRun(in)
 	if in.Q.EdgeCount() != n-1 {
-		tree = maxSelectivitySpanningTree(in)
+		r.tree = maxSelectivitySpanningTree(in, r.lc)
 	}
-	var best *Result
+	best := incumbent{in: in, lc: r.lc}
 	for root := 0; root < n; root++ {
-		if best != nil && cancelled(ctx) {
+		if best.z != nil && cancelled(ctx) {
 			break
 		}
-		z := kbzSequence(in, tree, root)
-		c := in.Cost(z)
-		if best == nil || c.Less(best.Cost) {
-			best = &Result{Sequence: z, Cost: c}
-		}
+		best.offer(r.sequence(root))
 	}
-	return best, nil
+	return best.result(), nil
 }
 
-// module is a compound element of an ASI chain.
+// kbzSignLog2 is the smallest |log₂ T| from which a module's float64
+// log₂ T is trusted to give the sign of T−1 and log₂|T−1|: the float
+// error of log₂ T reaches log₂|T−1| amplified by 2^lt/(2^lt−1), at most
+// 6.3× at |lt| = ¼. Modules with T closer to 1 (key–foreign-key joins
+// make T = 1 exactly) are ranked in exact arithmetic.
+const kbzSignLog2 = 0.25
+
+// module is a compound element of an ASI chain: a leaf (relation v
+// joined to its tree parent p, with C = W[v][p] and T = t_v·s_vp) or
+// the fusion of a followed by b (C = C_a + T_a·C_b, T = T_a·T_b). Ranks
+// are compared on the float64 log₂ shadows; the exact (C, T) exist only
+// for modules a comparison inside the guard band has needed, derived
+// through the fuse tree in the rounding order of an all-exact run and
+// memoized.
 type module struct {
-	c, t  *big.Float // ASI cost and size factor
-	verts []int
+	logC, logT float64
+	c, t       *big.Float // exact C and T; nil until needed
+	v, p       int        // leaf
+	a, b       *module    // fused; nil for a leaf
 }
 
-func newModule(c, t num.Num, v int) *module {
-	return &module{c: c.Float(), t: t.Float(), verts: []int{v}}
+// kbzRun is one Optimize call's state, reused across the n roots.
+type kbzRun struct {
+	in       *qon.Instance
+	lc       *qon.LogCoster
+	tree     *graph.Graph
+	parent   []int
+	children [][]int
+	queue    []int
+	mods     []module // n−1 leaves and at most n−2 fusions per root
+	seq      qon.Sequence
+	one      *big.Float // rankCmp's constant and scratch, made on first use
+	lhs, rhs *big.Float
 }
 
-// fuse absorbs m2 after m1: C = C1 + T1·C2, T = T1·T2.
-func fuse(m1, m2 *module) *module {
-	c := new(big.Float).SetPrec(num.Prec).Mul(m1.t, m2.c)
-	c.Add(c, m1.c)
-	t := new(big.Float).SetPrec(num.Prec).Mul(m1.t, m2.t)
-	return &module{c: c, t: t, verts: append(append([]int(nil), m1.verts...), m2.verts...)}
-}
-
-// rankLess reports rank(m1) < rank(m2), with rank = (T−1)/C, C > 0.
-// Cross-multiplied to avoid division: (T1−1)·C2 < (T2−1)·C1.
-func rankLess(m1, m2 *module) bool {
-	one := new(big.Float).SetPrec(num.Prec).SetInt64(1)
-	l := new(big.Float).SetPrec(num.Prec).Sub(m1.t, one)
-	l.Mul(l, m2.c)
-	r := new(big.Float).SetPrec(num.Prec).Sub(m2.t, one)
-	r.Mul(r, m1.c)
-	return l.Cmp(r) < 0
-}
-
-// kbzSequence computes the IK-optimal topological order of the tree
-// rooted at root (parent precedes child) and returns it as a sequence
-// starting with root.
-func kbzSequence(in *qon.Instance, tree *graph.Graph, root int) qon.Sequence {
+func newKBZRun(in *qon.Instance) *kbzRun {
 	n := in.N()
-	parent := make([]int, n)
-	children := make([][]int, n)
-	for i := range parent {
-		parent[i] = -1
+	return &kbzRun{
+		in:       in,
+		lc:       qon.NewLogCoster(in),
+		tree:     in.Q,
+		parent:   make([]int, n),
+		children: make([][]int, n),
+		queue:    make([]int, 0, n),
+		mods:     make([]module, 0, 2*n),
+		seq:      make(qon.Sequence, 0, n),
+	}
+}
+
+func (r *kbzRun) newModule() *module {
+	r.mods = append(r.mods, module{})
+	return &r.mods[len(r.mods)-1]
+}
+
+func (r *kbzRun) leaf(v, p int) *module {
+	m := r.newModule()
+	m.v, m.p = v, p
+	m.logC = r.lc.LogW(v, p)
+	m.logT = r.lc.LogT(v) + r.lc.LogS(v, p)
+	return m
+}
+
+// fuse absorbs b after a.
+func (r *kbzRun) fuse(a, b *module) *module {
+	m := r.newModule()
+	m.a, m.b = a, b
+	m.logC = qon.LogAdd(a.logC, a.logT+b.logC)
+	m.logT = a.logT + b.logT
+	return m
+}
+
+// exact derives m's exact (C, T), memoized.
+func (r *kbzRun) exact(m *module) {
+	if m.c != nil {
+		return
+	}
+	if m.a == nil {
+		m.c = r.in.W[m.v][m.p].Float()
+		m.t = r.in.T[m.v].Mul(r.in.S[m.v][m.p]).Float()
+		return
+	}
+	r.exact(m.a)
+	r.exact(m.b)
+	c := new(big.Float).SetPrec(num.Prec).Mul(m.a.t, m.b.c)
+	m.c = c.Add(c, m.a.c)
+	m.t = new(big.Float).SetPrec(num.Prec).Mul(m.a.t, m.b.t)
+}
+
+// rankCmp compares rank(m1) with rank(m2) exactly, rank = (T−1)/C with
+// C > 0, cross-multiplied to avoid division: (T1−1)·C2 vs (T2−1)·C1.
+// Modules with equal (C, T) tie without the products, which the tied
+// f_N instances meet at almost every comparison.
+func (r *kbzRun) rankCmp(m1, m2 *module) int {
+	r.exact(m1)
+	r.exact(m2)
+	if m1.c.Cmp(m2.c) == 0 && m1.t.Cmp(m2.t) == 0 {
+		return 0
+	}
+	if r.one == nil {
+		r.one = new(big.Float).SetPrec(num.Prec).SetInt64(1)
+		r.lhs = new(big.Float).SetPrec(num.Prec)
+		r.rhs = new(big.Float).SetPrec(num.Prec)
+	}
+	l := r.lhs.Sub(m1.t, r.one)
+	l.Mul(l, m2.c)
+	rr := r.rhs.Sub(m2.t, r.one)
+	rr.Mul(rr, m1.c)
+	return l.Cmp(rr)
+}
+
+// rankLess reports rank(m1) < rank(m2). The float64 path reads the
+// signs of T1−1 and T2−1 off log₂ T; equal signs compare
+// log₂|T1−1| + log₂ C2 against log₂|T2−1| + log₂ C1 under CmpLog2.
+func (r *kbzRun) rankLess(m1, m2 *module) bool {
+	s1, s2 := logSign(m1.logT), logSign(m2.logT)
+	if s1 == 0 || s2 == 0 {
+		r.in.Stats().Fallback()
+		return r.rankCmp(m1, m2) < 0
+	}
+	if s1 != s2 {
+		return s1 < s2
+	}
+	a := log2AbsTMinus1(m1.logT) + m2.logC
+	b := log2AbsTMinus1(m2.logT) + m1.logC
+	if s1 < 0 {
+		// Both products are negative: the larger magnitude is the
+		// smaller value.
+		a, b = b, a
+	}
+	return r.in.CmpLog2(a, b, func() int { return r.rankCmp(m1, m2) }) < 0
+}
+
+// logSign returns the sign of T−1 given lt = log₂ T, or 0 when lt is
+// too close to 0 to tell (see kbzSignLog2).
+func logSign(lt float64) int {
+	switch {
+	case lt >= kbzSignLog2:
+		return 1
+	case lt <= -kbzSignLog2:
+		return -1
+	}
+	return 0
+}
+
+// log2AbsTMinus1 returns log₂|T−1| given lt = log₂ T, |lt| ≥ kbzSignLog2:
+// max(lt, 0) + log₂(1 − 2^−|lt|).
+func log2AbsTMinus1(lt float64) float64 {
+	return math.Max(lt, 0) + math.Log1p(-math.Exp2(-math.Abs(lt)))/math.Ln2
+}
+
+// sequence computes the IK-optimal topological order of the tree
+// rooted at root (parent precedes child) and returns it as a sequence
+// starting with root. The slice is reused by the next call.
+func (r *kbzRun) sequence(root int) qon.Sequence {
+	parent, children := r.parent, r.children
+	for v := range parent {
+		parent[v] = -1
+		children[v] = children[v][:0]
 	}
 	// BFS orientation.
-	queue := []int{root}
-	visited := make([]bool, n)
-	visited[root] = true
+	queue := append(r.queue[:0], root)
+	parent[root] = root
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		tree.Neighbors(v).ForEach(func(u int) {
-			if !visited[u] {
-				visited[u] = true
+		r.tree.Neighbors(v).ForEach(func(u int) {
+			if parent[u] < 0 {
 				parent[u] = v
 				children[v] = append(children[v], u)
 				queue = append(queue, u)
@@ -124,39 +239,49 @@ func kbzSequence(in *qon.Instance, tree *graph.Graph, root int) qon.Sequence {
 		})
 	}
 
+	r.mods = r.mods[:0]
 	var chainOf func(v int) []*module
 	chainOf = func(v int) []*module {
 		var merged []*module
 		for _, ch := range children[v] {
-			merged = mergeByRank(merged, chainOf(ch))
+			merged = r.mergeByRank(merged, chainOf(ch))
 		}
 		if v == root {
 			return merged // the root itself is not a join operation
 		}
-		head := newModule(in.W[v][parent[v]], in.T[v].Mul(in.S[v][parent[v]]), v)
-		chain := append([]*module{head}, merged...)
+		chain := append([]*module{r.leaf(v, parent[v])}, merged...)
 		// Normalize: a parent module whose rank exceeds its successor's
 		// must be fused with it (ASI's sequencing argument).
-		for len(chain) >= 2 && !rankLess(chain[0], chain[1]) {
-			chain = append([]*module{fuse(chain[0], chain[1])}, chain[2:]...)
+		for len(chain) >= 2 && !r.rankLess(chain[0], chain[1]) {
+			chain[1] = r.fuse(chain[0], chain[1])
+			chain = chain[1:]
 		}
 		return chain
 	}
 
-	seq := make(qon.Sequence, 0, n)
-	seq = append(seq, root)
-	for _, m := range chainOf(root) {
-		seq = append(seq, m.verts...)
+	seq := append(r.seq[:0], root)
+	var emit func(m *module)
+	emit = func(m *module) {
+		if m.a == nil {
+			seq = append(seq, m.v)
+			return
+		}
+		emit(m.a)
+		emit(m.b)
 	}
+	for _, m := range chainOf(root) {
+		emit(m)
+	}
+	r.seq = seq
 	return seq
 }
 
 // mergeByRank merges two rank-ascending module chains.
-func mergeByRank(a, b []*module) []*module {
+func (r *kbzRun) mergeByRank(a, b []*module) []*module {
 	out := make([]*module, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if rankLess(b[j], a[i]) {
+		if r.rankLess(b[j], a[i]) {
 			out = append(out, b[j])
 			j++
 		} else {
@@ -170,8 +295,8 @@ func mergeByRank(a, b []*module) []*module {
 
 // maxSelectivitySpanningTree builds a spanning tree of the query graph
 // preferring the most selective edges (smallest s) — Prim's algorithm
-// on log₂ s weights.
-func maxSelectivitySpanningTree(in *qon.Instance) *graph.Graph {
+// on the run's precomputed log₂ s weights.
+func maxSelectivitySpanningTree(in *qon.Instance, lc *qon.LogCoster) *graph.Graph {
 	n := in.N()
 	tree := graph.New(n)
 	inTree := make([]bool, n)
@@ -187,7 +312,7 @@ func maxSelectivitySpanningTree(in *qon.Instance) *graph.Graph {
 				if inTree[v] || !in.Q.HasEdge(u, v) {
 					continue
 				}
-				w := in.S[u][v].Log2()
+				w := lc.LogS(u, v)
 				if bestU < 0 || w < bestW {
 					bestU, bestV, bestW = u, v, w
 				}

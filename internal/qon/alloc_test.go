@@ -16,6 +16,9 @@ import (
 // path silently stopped firing — the exact regression the parseDyadic
 // ordering bug once caused on the serving path.
 func TestEvaluateZeroBigFloatAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled temporaries at random under -race")
+	}
 	const n = 8
 	q := graph.Path(n)
 	in := NewUniform(q, num.Pow2(10), num.Pow2(-4), num.Pow2(6))

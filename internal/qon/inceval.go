@@ -139,7 +139,7 @@ func (e *IncEval) MoveLog2(next Sequence, from int) float64 {
 					break
 				}
 			}
-			total = logAdd(total, logSize+hw)
+			total = LogAdd(total, logSize+hw)
 		}
 		f := lc.logT[v]
 		for _, u := range next[:i] {

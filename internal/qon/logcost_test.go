@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"approxqo/internal/graph"
 	"approxqo/internal/num"
 	"approxqo/internal/stats"
 )
@@ -67,6 +68,57 @@ func TestLogCosterRankExactTie(t *testing.T) {
 	}
 	if snap := st.Snapshot(); snap.Fallbacks == 0 {
 		t.Fatal("exact tie did not take the guard-band fallback")
+	}
+}
+
+// CmpLog2 trusts float64 beyond the guard band and asks the exact
+// comparison inside it (NaN included), counting each such fallback.
+func TestCmpLog2Band(t *testing.T) {
+	st := &stats.Stats{}
+	in := randomInstance(3, 1).WithStats(st)
+	exactCalls := 0
+	exact := func() int { exactCalls++; return 7 }
+	for _, tc := range []struct {
+		a, b float64
+		want int
+	}{
+		{10, 10 - 2*DefaultLogGuard, 1},
+		{-3, -3 + 2*DefaultLogGuard, -1},
+		{10, 10 + DefaultLogGuard/2, 7},
+		{10, 10, 7},
+		{math.Inf(-1), math.Inf(-1), 7},
+		{math.NaN(), 1, 7},
+	} {
+		if got := in.CmpLog2(tc.a, tc.b, exact); got != tc.want {
+			t.Errorf("CmpLog2(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+	}
+	if exactCalls != 4 || st.Snapshot().Fallbacks != 4 {
+		t.Errorf("%d exact calls and %d fallbacks, want 4 and 4", exactCalls, st.Snapshot().Fallbacks)
+	}
+}
+
+// WOrder.MinMask picks the same access cost MinW does, for every
+// prefix set of a small instance.
+func TestWOrderMinMaskMatchesMinW(t *testing.T) {
+	const n = 7
+	in := randomInstance(n, 11)
+	order := NewWOrder(in)
+	for mask := 1; mask < 1<<n; mask++ {
+		x := graph.NewBitset(n)
+		for u := 0; u < n; u++ {
+			if mask&(1<<u) != 0 {
+				x.Add(u)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if mask&(1<<v) != 0 {
+				continue
+			}
+			if got, want := order.MinMask(in, v, mask), in.MinW(v, x); !got.Equal(want) {
+				t.Fatalf("mask %b v %d: MinMask %v, MinW %v", mask, v, got, want)
+			}
+		}
 	}
 }
 
