@@ -200,8 +200,6 @@ var (
 	NewDPParallel = opt.NewDPParallel
 	// NewDPNoCross is the exact DP over cartesian-product-free orders.
 	NewDPNoCross = opt.NewDPNoCross
-	// NewExhaustive enumerates all join sequences (small n).
-	NewExhaustive = opt.NewExhaustive
 	// NewKBZ is the Ibaraki–Kameda rank algorithm for tree queries.
 	NewKBZ = opt.NewKBZ
 	// NewGreedy builds greedy optimizers (opt.GreedyMinSize/MinCost).

@@ -174,7 +174,6 @@ func main() {
 
 func registry(seed int64) []opt.Optimizer {
 	return append([]opt.Optimizer{
-		opt.NewExhaustive(),
 		opt.NewDP(),
 		opt.NewDPParallel(),
 		opt.NewDPNoCross(),

@@ -141,14 +141,14 @@ func TestEnsembleSkipRecords(t *testing.T) {
 	}
 	// Every non-greedy member of the builder's ensemble is accounted
 	// for as a routing skip: the local tier and the single exact member
-	// n selects. Exhaustive, the no-cross DP and the parallel DP are
-	// not serving members at n=12, so they appear nowhere.
+	// n selects. The no-cross DP and the parallel DP are not serving
+	// members at n=12, so they appear nowhere.
 	for _, name := range []string{"annealing", "iterative-improvement", "subset-dp"} {
 		if reasons[name] != engine.SkipRouting {
 			t.Errorf("%s skip reason %q, want %q (skips %v)", name, reasons[name], engine.SkipRouting, skips)
 		}
 	}
-	for _, name := range []string{"exhaustive", "subset-dp-no-cross", "subset-dp-parallel"} {
+	for _, name := range []string{"subset-dp-no-cross", "subset-dp-parallel"} {
 		if _, ok := reasons[name]; ok {
 			t.Errorf("%s reported by an ensemble it is not a member of", name)
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"approxqo/internal/num"
 	"approxqo/internal/qon"
 )
 
@@ -20,15 +19,6 @@ const DefaultSamples = 1000
 // DefaultRestarts is the default restart count for iterative
 // improvement.
 const DefaultRestarts = 10
-
-// safeLog2 is Log2 extended to the zero cost of single-relation
-// sequences (log₂ 0 = −Inf).
-func safeLog2(c num.Num) float64 {
-	if c.IsZero() {
-		return math.Inf(-1)
-	}
-	return c.Log2()
-}
 
 // moveFrom applies a random swap or reinsert move to next (a copy of
 // the current sequence) and returns the first position whose prefix
@@ -65,11 +55,10 @@ func moveFrom(rng *rand.Rand, next qon.Sequence) int {
 // sequence visited so far.
 //
 // Moves are ranked by the tiered cost kernel: a float64 log-domain
-// suffix evaluation per candidate (qon.IncEval), with exact num.Num
-// confirmation for every accepted move and an exact fallback whenever
-// the log-domain margin falls inside qon.DefaultLogGuard. The returned
-// Result.Cost is always an exact cost, bit-identical to in.Cost of the
-// returned sequence.
+// suffix evaluation per candidate (qon.IncEval), ordered against the
+// current sequence by qon.CmpLog2, with exact num.Num confirmation for
+// every accepted move. The returned Result.Cost is always an exact
+// cost, bit-identical to in.Cost of the returned sequence.
 type Annealing struct {
 	cfg options
 }
@@ -120,15 +109,10 @@ func (a Annealing) Optimize(ctx context.Context, in *qon.Instance) (*Result, err
 			continue
 		}
 		e := inc.MoveLog2(next, from)
-		d := e - curE
-		better := d < 0
-		if math.Abs(d) <= qon.DefaultLogGuard {
-			// Precision collapse: the float64 margin cannot be trusted,
-			// so the downhill test reruns in exact arithmetic.
-			st.Fallback()
-			better = inc.MoveExact(next, from).LessEq(curC)
-		}
-		if better || rng.Float64() < math.Exp(-d/temp) {
+		downhill := qon.CmpLog2(st, e, curE, func() int {
+			return inc.MoveExact(next, from).Cmp(curC)
+		}) <= 0
+		if downhill || rng.Float64() < math.Exp(-(e-curE)/temp) {
 			inc.Apply(next, from) // exact confirmation of the accepted move
 			cur, next = next, cur
 			curE = inc.CostLog2()
@@ -144,12 +128,13 @@ func (a Annealing) Optimize(ctx context.Context, in *qon.Instance) (*Result, err
 }
 
 // RandomSampler evaluates k uniform random permutations and keeps the
-// best — the weakest baseline, useful as a calibration floor. Anytime:
-// cancellation returns the best of the samples drawn so far.
+// first cheapest — the weakest baseline, useful as a calibration floor.
+// Anytime: cancellation returns the best of the samples drawn so far.
 //
-// Samples are screened in the log domain: only candidates within the
-// guard band of (or clearly below) the incumbent pay for an exact
-// evaluation, and the kept Result.Cost is always exact.
+// Each draw is offered to the package's incumbent, which ranks it by
+// LogCoster.CostLog2 under qon.CmpLog2: only a draw inside the guard
+// band of the incumbent pays for an exact evaluation, and the returned
+// Result.Cost is exact.
 type RandomSampler struct {
 	cfg options
 }
@@ -174,36 +159,15 @@ func (r RandomSampler) Optimize(ctx context.Context, in *qon.Instance) (*Result,
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
-	st := in.Stats()
 	rng := rand.New(rand.NewSource(r.cfg.seed))
-	lc := qon.NewLogCoster(in)
-	var best *Result
-	bestE := math.Inf(1)
+	best := incumbent{in: in, lc: qon.NewLogCoster(in)}
 	for i := 0; i < samples; i++ {
-		if best != nil && cancelled(ctx) {
+		if best.z != nil && cancelled(ctx) {
 			break
 		}
-		z := qon.Sequence(rng.Perm(n))
-		e := lc.CostLog2(z)
-		d := e - bestE
-		if best != nil && d > qon.DefaultLogGuard {
-			continue // certainly worse than the incumbent
-		}
-		if best != nil && d >= -qon.DefaultLogGuard {
-			// Near-tie with the incumbent: decide exactly.
-			st.Fallback()
-			if c := in.Cost(z); c.Less(best.Cost) {
-				best = &Result{Sequence: z, Cost: c}
-				bestE = safeLog2(c)
-			}
-			continue
-		}
-		// First sample, or clearly better: confirm exactly and adopt.
-		c := in.Cost(z)
-		best = &Result{Sequence: z, Cost: c}
-		bestE = safeLog2(c)
+		best.offer(rng.Perm(n))
 	}
-	return best, nil
+	return best.result(), nil
 }
 
 // IterativeImprovement is repeated random-restart hill climbing with
@@ -211,8 +175,8 @@ func (r RandomSampler) Optimize(ctx context.Context, in *qon.Instance) (*Result,
 // returns the best local optimum (or partial climb) reached so far.
 //
 // Candidate swaps are ranked via the tiered kernel exactly like
-// Annealing: decisive log-domain margins decide directly, in-band
-// margins fall back to exact arithmetic, and accepted swaps are
+// Annealing: qon.CmpLog2 decides decisive log-domain margins directly
+// and in-band margins in exact arithmetic, and accepted swaps are
 // confirmed exactly — so the climb trajectory is identical to one
 // computed purely in num.Num.
 type IterativeImprovement struct {
@@ -261,13 +225,9 @@ func (ii IterativeImprovement) Optimize(ctx context.Context, in *qon.Instance) (
 					copy(next, cur)
 					next[i], next[j] = next[j], next[i]
 					st.Move()
-					d := inc.MoveLog2(next, i) - curE
-					better := d < -qon.DefaultLogGuard
-					if !better && d <= qon.DefaultLogGuard {
-						st.Fallback()
-						better = inc.MoveExact(next, i).Less(curC)
-					}
-					if better {
+					if qon.CmpLog2(st, inc.MoveLog2(next, i), curE, func() int {
+						return inc.MoveExact(next, i).Cmp(curC)
+					}) < 0 {
 						inc.Apply(next, i)
 						cur, next = next, cur
 						curC = inc.Cost()

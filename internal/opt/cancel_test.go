@@ -47,24 +47,6 @@ func TestExactDPsErrorWhenCancelled(t *testing.T) {
 	}
 }
 
-// Exhaustive search keeps its partial best but must not claim exactness
-// after an interrupted enumeration.
-func TestExhaustiveCancelledIsNotExact(t *testing.T) {
-	in := randomInstance(9, 0.6, 7)
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, err := NewExhaustive().Optimize(done, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Exact {
-		t.Error("interrupted exhaustive search claims exactness")
-	}
-	if !in.ValidSequence(r.Sequence) {
-		t.Error("interrupted exhaustive search returned invalid sequence")
-	}
-}
-
 // WithStats must observe cost evaluations for both cooperative
 // (cost-calling) and batch-counting (DP) optimizers.
 func TestWithStatsCountsEvaluations(t *testing.T) {
@@ -74,7 +56,6 @@ func TestWithStatsCountsEvaluations(t *testing.T) {
 		NewDP(),
 		NewDPNoCross(),
 		NewDPParallel(),
-		NewExhaustive(),
 		NewGreedy(GreedyMinCost),
 		NewKBZ(),
 	} {
@@ -85,8 +66,6 @@ func TestWithStatsCountsEvaluations(t *testing.T) {
 			wrapped = NewAnnealing(WithSeed(2), WithIterations(50), WithStats(st))
 		case DP:
 			wrapped = newDP(v.variant, []Option{WithStats(st)})
-		case Exhaustive:
-			wrapped = NewExhaustive(WithStats(st))
 		case Greedy:
 			wrapped = NewGreedy(v.rule, WithStats(st))
 		case KBZ:

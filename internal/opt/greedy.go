@@ -28,7 +28,7 @@ const (
 // Anytime: cancellation between start vertices returns the best
 // complete sequence built so far.
 //
-// Every comparison runs on the Tier-1 kernel (qon.Instance.CmpLog2): a
+// Every comparison runs on the Tier-1 kernel (qon.CmpLog2): a
 // step compares the candidates' log₂ keys, kept incrementally at O(1)
 // per candidate, and the choice among the n starts compares
 // LogCoster.CostLog2. Only a margin inside the guard band pays for
@@ -137,7 +137,7 @@ func (r *greedyRun) release() {
 // buildFrom returns the greedy sequence starting at first. The slice
 // is reused by the next call.
 func (r *greedyRun) buildFrom(first int) qon.Sequence {
-	n := r.in.N()
+	n, st := r.in.N(), r.in.Stats()
 	r.z = r.z[:0]
 	r.x.Clear()
 	r.xSized.Clear()
@@ -166,7 +166,7 @@ func (r *greedyRun) buildFrom(first int) qon.Sequence {
 				continue
 			}
 			candExact := false
-			c := r.in.CmpLog2(r.key[v], r.key[pick], func() int {
+			c := qon.CmpLog2(st, r.key[v], r.key[pick], func() int {
 				if !pickExact {
 					r.exactKey(r.pick, pick)
 					pickExact = true
@@ -232,53 +232,4 @@ func (r *greedyRun) exactKey(dst *num.Scratch, v int) {
 	} else {
 		dst.Mul(in.W[v][r.minU[v]])
 	}
-}
-
-// incumbent keeps the cheapest complete sequence offered so far,
-// ranked by LogCoster.CostLog2 under qon's CmpLog2 rule. An exact cost
-// is computed only for a near-tie, where it is memoized for the
-// incumbent, and once for the returned sequence. Ties keep the earlier
-// offer, as an exact Less loop does.
-type incumbent struct {
-	in    *qon.Instance
-	lc    *qon.LogCoster
-	z     qon.Sequence // nil until the first offer
-	e     float64      // CostLog2(z)
-	c     num.Num      // C(z), when known
-	known bool
-}
-
-// offer considers z; the incumbent copies it when adopting.
-func (b *incumbent) offer(z qon.Sequence) {
-	e := b.lc.CostLog2(z)
-	if b.z == nil {
-		b.adopt(z, e)
-		return
-	}
-	var c num.Num
-	if b.in.CmpLog2(e, b.e, func() int {
-		c = b.in.Cost(z)
-		return c.Cmp(b.cost())
-	}) < 0 {
-		b.adopt(z, e)
-		b.c, b.known = c, c.IsValid()
-	}
-}
-
-func (b *incumbent) adopt(z qon.Sequence, e float64) {
-	b.z = append(b.z[:0], z...)
-	b.e, b.known = e, false
-}
-
-// cost returns the incumbent's exact cost, memoized.
-func (b *incumbent) cost() num.Num {
-	if !b.known {
-		b.c, b.known = b.in.Cost(b.z), true
-	}
-	return b.c
-}
-
-// result returns the incumbent with its exact cost.
-func (b *incumbent) result() *Result {
-	return &Result{Sequence: b.z, Cost: b.cost()}
 }

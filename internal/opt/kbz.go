@@ -194,7 +194,7 @@ func (r *kbzRun) rankLess(m1, m2 *module) bool {
 		// smaller value.
 		a, b = b, a
 	}
-	return r.in.CmpLog2(a, b, func() int { return r.rankCmp(m1, m2) }) < 0
+	return qon.CmpLog2(r.in.Stats(), a, b, func() int { return r.rankCmp(m1, m2) }) < 0
 }
 
 // logSign returns the sign of T−1 given lt = log₂ T, or 0 when lt is

@@ -1,17 +1,22 @@
 // Package opt implements join-order optimizers over the QO_N cost
-// model: two exact algorithms (exhaustive enumeration and a subset
-// dynamic program that exploits the fact that N(X) is a set function)
+// model: an exact subset dynamic program that exploits the fact that
+// N(X) is a set function (serial, parallel and cartesian-product-free)
 // and the polynomial-time heuristics whose competitive ratios the
 // paper's theorems bound from below — greedy, the Ibaraki–Kameda/KBZ
 // rank algorithm for tree queries (with a spanning-tree fallback for
 // cyclic graphs), simulated annealing, iterative improvement and random
-// sampling.
+// sampling — plus QO_H sequence search.
+//
+// The heuristics rank candidates by float64 log₂ costs and make every
+// such decision through qon.CmpLog2, which re-decides a margin inside
+// the guard band in exact arithmetic, so each returns the sequence and
+// the bit-identical cost an all-exact search returns.
 //
 // Every optimizer takes a context and honours cancellation: the anytime
 // algorithms (greedy, KBZ, annealing, iterative improvement, random
-// sampling, exhaustive) return the best complete sequence found so far
-// when the context expires, while the exact DPs — which have no plan
-// until the final subset — return the context's error. Constructors are
+// sampling) return the best complete sequence found so far when the
+// context expires, while the exact DPs — which have no plan until the
+// final subset — return the context's error. Constructors are
 // configured with functional options (WithSeed, WithMaxRelations,
 // WithStats, …); instrumentation counters ride on the instance (see
 // qon.Instance.WithStats) so the cost model itself counts evaluations.

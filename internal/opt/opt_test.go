@@ -63,31 +63,6 @@ func treeInstance(n int, seed int64) *qon.Instance {
 	return in
 }
 
-func TestExhaustiveSmall(t *testing.T) {
-	in := randomInstance(4, 0.7, 1)
-	r, err := NewExhaustive().Optimize(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Exact || !in.ValidSequence(r.Sequence) {
-		t.Fatal("exhaustive result malformed")
-	}
-	// No permutation is cheaper.
-	perm := qon.Sequence{0, 1, 2, 3}
-	permute(perm, 0, func(z qon.Sequence) bool {
-		if in.Cost(z).Less(r.Cost) {
-			t.Fatalf("sequence %v beats exhaustive optimum", z)
-		}
-		return true
-	})
-}
-
-func TestExhaustiveCap(t *testing.T) {
-	if _, err := NewExhaustive().Optimize(ctx, randomInstance(MaxExhaustiveN+1, 0.5, 2)); err == nil {
-		t.Error("oversize instance accepted")
-	}
-}
-
 // Property: every heuristic returns a valid sequence costing at least
 // the DP optimum, and BestOf picks the cheapest.
 func TestQuickHeuristicsSound(t *testing.T) {
@@ -211,27 +186,5 @@ func TestBestOf(t *testing.T) {
 	// All failing: empty optimizer achieving nothing.
 	if _, _, err := BestOf(ctx, in, DP{MaxN: 2}); err == nil {
 		t.Error("BestOf with only failing optimizers should error")
-	}
-}
-
-func TestDecide(t *testing.T) {
-	in := randomInstance(6, 0.7, 77)
-	optR, err := NewDP().Optimize(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yes, witness, err := Decide(ctx, in, optR.Cost)
-	if err != nil || !yes {
-		t.Fatalf("Decide at the optimum should be YES (err=%v)", err)
-	}
-	if !in.Cost(witness).LessEq(optR.Cost) {
-		t.Error("witness exceeds the bound")
-	}
-	below := optR.Cost.Mul(num.FromFloat64(0.5))
-	if yes, _, _ := Decide(ctx, in, below); yes {
-		t.Error("Decide below the optimum should be NO")
-	}
-	if _, _, err := Decide(ctx, randomInstance(DefaultMaxDPN+1, 0.5, 1), optR.Cost); err == nil {
-		t.Error("oversize instance accepted")
 	}
 }

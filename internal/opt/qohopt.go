@@ -75,12 +75,12 @@ func qohExtendInto(s *num.Scratch, in *qoh.Instance, size num.Num, v int, x *gra
 	x.ForEach(func(u int) { s.Mul(in.S[v][u]) })
 }
 
-// greedySizeSequence ranks candidate extensions through the tiered
-// kernel: the float64 log₂ size (qoh.LogSizer) decides clear margins,
-// and near-ties within qon.DefaultLogGuard are re-decided in exact
-// arithmetic — so the chosen sequence is identical to the one the old
-// fully-exact loop produced, at one big.Float op chain per *step*
-// instead of per candidate.
+// greedySizeSequence ranks candidate extensions by their float64 log₂
+// next size (qoh.LogSizer) under qon.CmpLog2, which re-decides a
+// near-tie on the exact next sizes; strict comparison keeps the earlier
+// candidate on an exact tie. The chosen sequence is the one an all-exact
+// greedy picks, at one exact size chain per step instead of per
+// candidate.
 func greedySizeSequence(in *qoh.Instance, ls *qoh.LogSizer, first int) []int {
 	n := in.N()
 	st := in.Stats()
@@ -96,7 +96,7 @@ func greedySizeSequence(in *qoh.Instance, ls *qoh.LogSizer, first int) []int {
 	defer pickCand.Release()
 	for len(z) < n {
 		pick := -1
-		pickLog := math.Inf(1)
+		var pickLog float64
 		pickExact := false // pickCand holds pick's exact next size
 		for v := 0; v < n; v++ {
 			if used.Has(v) {
@@ -104,27 +104,25 @@ func greedySizeSequence(in *qoh.Instance, ls *qoh.LogSizer, first int) []int {
 			}
 			st.FastEval()
 			lnext := ls.ExtendLog2(logSize, v, used)
-			d := lnext - pickLog
-			if pick >= 0 && d > qon.DefaultLogGuard {
-				continue // certainly not smaller than the incumbent
+			if pick < 0 {
+				pick, pickLog = v, lnext
+				continue
 			}
-			if pick >= 0 && d >= -qon.DefaultLogGuard {
-				// Near-tie: the float64 margin cannot be trusted, so the
-				// comparison reruns in exact arithmetic. Strict Less keeps
-				// the incumbent on exact ties, matching the old loop.
-				st.Fallback()
+			candExact := false
+			if qon.CmpLog2(st, lnext, pickLog, func() int {
 				if !pickExact {
 					qohExtendInto(pickCand, in, size, pick, used)
 					pickExact = true
 				}
 				qohExtendInto(cand, in, size, v, used)
-				if cand.CmpScratch(pickCand) < 0 {
-					pick, pickLog = v, lnext
+				candExact = true
+				return cand.CmpScratch(pickCand)
+			}) < 0 {
+				pick, pickLog, pickExact = v, lnext, candExact
+				if candExact {
 					cand, pickCand = pickCand, cand
 				}
-				continue
 			}
-			pick, pickLog, pickExact = v, lnext, false
 		}
 		qohExtendInto(cand, in, size, pick, used)
 		size = cand.Num()

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"approxqo/internal/num"
+	"approxqo/internal/stats"
 )
 
 // DefaultLogGuard is the guard band, in log₂ units, inside which a
@@ -29,10 +30,11 @@ const DefaultLogGuard = 1e-6
 // positive quantities x and y given their float64 log₂ shadows
 // a ≈ log₂ x and b ≈ log₂ y: a margin beyond DefaultLogGuard is decided
 // in float64, and a margin inside the band (NaN included, which is how
-// two −Inf zero costs arrive) records a Fallback and returns exact(),
-// which must return x.Cmp(y) in exact arithmetic. Every Tier-1
-// comparison that feeds a returned plan goes through it.
-func (in *Instance) CmpLog2(a, b float64, exact func() int) int {
+// two −Inf zero costs arrive) records a Fallback on st (which may be
+// nil) and returns exact(), which must return x.Cmp(y) in exact
+// arithmetic. Every Tier-1 comparison that feeds a returned plan, in
+// the QO_N and the QO_H model alike, goes through it.
+func CmpLog2(st *stats.Stats, a, b float64, exact func() int) int {
 	d := a - b
 	if d > DefaultLogGuard {
 		return 1
@@ -40,7 +42,7 @@ func (in *Instance) CmpLog2(a, b float64, exact func() int) int {
 	if d < -DefaultLogGuard {
 		return -1
 	}
-	in.stats.Fallback()
+	st.Fallback()
 	return exact()
 }
 
@@ -87,7 +89,7 @@ func (o WOrder) MinMask(in *Instance, v, mask int) num.Num {
 
 // LogCoster evaluates C(Z) in the log₂ domain: pure float64, zero
 // allocations, no big.Float traffic. It is the Tier-1 fast path the
-// greedy tier, exhaustive search and local search use to *rank*
+// greedy tier, the random sampler and local search use to *rank*
 // sequences: a returned cost is always exact, and comparisons go
 // through CmpLog2 (see Rank), so a margin within DefaultLogGuard falls
 // back to exact num.Num.
@@ -193,7 +195,7 @@ func (lc *LogCoster) CostLog2(z Sequence) float64 {
 // the exact comparison would: CmpLog2 over the two CostLog2 values,
 // re-deciding a margin inside the band with exact num.Num costs.
 func (lc *LogCoster) Rank(a, b Sequence) int {
-	return lc.in.CmpLog2(lc.CostLog2(a), lc.CostLog2(b), func() int {
+	return CmpLog2(lc.in.stats, lc.CostLog2(a), lc.CostLog2(b), func() int {
 		return lc.in.Cost(a).Cmp(lc.in.Cost(b))
 	})
 }

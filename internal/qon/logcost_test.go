@@ -75,7 +75,6 @@ func TestLogCosterRankExactTie(t *testing.T) {
 // comparison inside it (NaN included), counting each such fallback.
 func TestCmpLog2Band(t *testing.T) {
 	st := &stats.Stats{}
-	in := randomInstance(3, 1).WithStats(st)
 	exactCalls := 0
 	exact := func() int { exactCalls++; return 7 }
 	for _, tc := range []struct {
@@ -89,7 +88,7 @@ func TestCmpLog2Band(t *testing.T) {
 		{math.Inf(-1), math.Inf(-1), 7},
 		{math.NaN(), 1, 7},
 	} {
-		if got := in.CmpLog2(tc.a, tc.b, exact); got != tc.want {
+		if got := CmpLog2(st, tc.a, tc.b, exact); got != tc.want {
 			t.Errorf("CmpLog2(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}

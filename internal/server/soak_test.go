@@ -54,10 +54,9 @@ var soakFaults = map[string]func(engine.RunRecord) bool{
 
 // exactNames are the exact optimizers the heuristic rung must never
 // run: the serving ensemble's exact members (subset-dp up to n=16,
-// subset-dp-parallel above) plus the exact solvers kept out of serving
-// altogether.
+// subset-dp-parallel above) plus the no-cross DP, which is kept out of
+// serving altogether.
 var exactNames = map[string]bool{
-	"exhaustive":         true,
 	"subset-dp":          true,
 	"subset-dp-no-cross": true,
 	"subset-dp-parallel": true,
