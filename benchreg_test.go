@@ -154,6 +154,23 @@ func BenchmarkRegOptScratchMulAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkRegOptScratchMulAddSpilled is the same chain past 128 bits:
+// x·y needs 175 mantissa bits, so every MulAdd takes the spilled
+// big.Float path, which must stay allocation-free too (each operation
+// writes into a free temporary, never over one of its operands).
+func BenchmarkRegOptScratchMulAddSpilled(b *testing.B) {
+	x, y := num.FromInt64(3).Pow(60), num.FromInt64(3).Pow(50)
+	s := num.NewScratch()
+	defer s.Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SetInt64(1)
+		for k := 0; k < 64; k++ {
+			s.MulAdd(x, y)
+		}
+	}
+}
+
 func BenchmarkRegOptImmutableMulAdd(b *testing.B) {
 	x, y := num.Pow2(100), num.FromInt64(12345)
 	b.ResetTimer()

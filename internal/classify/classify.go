@@ -346,12 +346,12 @@ func (d Decision) shedBy(t Tier) string {
 // inside a request budget, so it leaves the local tier out: nothing
 // local search finds can beat the certified optimum, and every core it
 // burns is taken from concurrent requests. The serial DP over all
-// eleven workload families on an idle 2-core Xeon VM took at most
-// 0.19 s at n=15 and 0.39 s at n=16 — under a quarter of the server's
-// 2 s default budget — against 0.86 s at n=17 and 1.58 s at n=18
-// (DESIGN.md § One serving-ensemble builder). Above it the parallel DP
-// takes the exact slot and local search runs alongside as the anytime
-// fallback. Deliberately not a knob.
+// eleven workload families (seed 100, two runs) on a shared 2-core VM
+// took at most 0.13 s at n=15 and 0.18 s at n=16 — under a quarter of
+// the server's 2 s default budget — against 0.73 s at n=17 and 1.35 s
+// at n=18 (DESIGN.md § One serving-ensemble builder). Above it
+// the parallel DP takes the exact slot and local search runs alongside
+// as the anytime fallback. Deliberately not a knob.
 const serialDPMaxN = 16
 
 // exactMember is the exact tier's single member for an n-relation

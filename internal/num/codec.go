@@ -102,7 +102,11 @@ func hexDigits(v uint64) uint64 {
 func bigWords(f *big.Float) (w [4]uint64, pe int64) {
 	t := getTemps()
 	pe = int64(f.MantExp(nil))
-	t.a.SetMantExp(f, Prec-int(pe)) // the mantissa as an integer in [2^255, 2^256)
+	// Set, then scale in place: SetMantExp(f, …) would Copy f's precision
+	// into the pooled t.a, and a temporary below Prec left in the pool
+	// rounds every later setDy that borrows it.
+	t.a.Set(f)
+	t.a.SetMantExp(t.a, Prec-int(pe)) // the mantissa as an integer in [2^255, 2^256)
 	t.a.Int(&t.i)
 	var b [Prec / 8]byte
 	t.i.FillBytes(b[:])

@@ -320,10 +320,14 @@ func TestDyadicZeroBigFloatAllocs(t *testing.T) {
 	for i := range vals {
 		vals[i] = Pow2(int64(i*3 - 8))
 	}
-	// Retry to ride out sync.Pool eviction by a concurrent GC.
-	for attempt := 0; attempt < 3; attempt++ {
+	// The window includes a warm NewScratch, so it also checks that a
+	// pooled Scratch is reused without a big.Float. A pool miss (a GC
+	// between Release and NewScratch, or -race dropping the Put) shows as
+	// a rise in ScratchPoolStats' news; only such an attempt is retried.
+	for attempt := 0; attempt < 10; attempt++ {
 		s := NewScratch() // warm the pool slot before measuring
 		s.Release()
+		_, news := ScratchPoolStats()
 		before := FloatAllocs()
 		s = NewScratch()
 		for i, v := range vals {
@@ -340,8 +344,11 @@ func TestDyadicZeroBigFloatAllocs(t *testing.T) {
 		if FloatAllocs() == before {
 			return
 		}
+		if _, after := ScratchPoolStats(); after == news {
+			t.Fatalf("dyadic scratch chain allocated %d big.Floats with no Scratch pool miss", FloatAllocs()-before)
+		}
 	}
-	t.Fatal("dyadic scratch chain allocated big.Floats on all attempts")
+	t.Fatal("every attempt met a Scratch pool miss")
 }
 
 // TestDyadicExtremeExponents exercises the exponent-range fallback:

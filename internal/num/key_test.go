@@ -51,6 +51,35 @@ func TestKeyExact(t *testing.T) {
 	}
 }
 
+// TestKeyKeepsPooledPrecision: Key of a big value whose float carries
+// less than Prec (keyValues' "big 2" has big.NewFloat's 53 bits) must
+// not hand that precision to the pooled temporaries. It once did,
+// through SetMantExp's Copy, and the next spilled Mul that borrowed the
+// temporary rounded an exact product to 53 bits: the TestQuickPow
+// failure 231^21 under -race.
+func TestKeyKeepsPooledPrecision(t *testing.T) {
+	low := Num{f: big.NewFloat(3)}
+	want := FromInt64(231).Pow(21)
+	for i := 0; i < 20; i++ {
+		_ = low.Key()
+		tmp := getTemps()
+		for k, f := range []*big.Float{tmp.a, tmp.b, tmp.c, tmp.d} {
+			if f.Prec() != Prec {
+				t.Fatalf("round %d: pooled temporary %d has precision %d after Key, want %d", i, k, f.Prec(), Prec)
+			}
+		}
+		putTemps(tmp)
+		_ = low.Key()
+		got := One()
+		for k := 0; k < 21; k++ {
+			got = got.Mul(FromInt64(231))
+		}
+		if !got.Equal(want) {
+			t.Fatalf("round %d: 21 Muls by 231 after Key = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // Appended keys are self-delimiting: no key's bytes are a proper
 // prefix of another's, so concatenations parse one way.
 func TestKeyAppendSelfDelimiting(t *testing.T) {

@@ -474,14 +474,14 @@ func MulAdd(a, b, c Num) Num {
 			// this same exact value, so only the addition rounds.
 			t := getTemps()
 			defer putTemps(t)
-			f := setDy(newFloat(), t.a, t.b, phi, plo, pe)
-			f.Add(f, c.bigVal(t.a, t.b, t.c))
-			return Num{f: f}
+			p := setDy(t.d, t.a, t.b, phi, plo, pe)
+			return Num{f: newFloat().Add(p, c.bigVal(t.a, t.b, t.c))}
 		}
 	}
+	// Neither big.Float operation writes over one of its operands: the
+	// product lands in a temporary, the sum in the fresh result.
 	t := getTemps()
 	defer putTemps(t)
-	f := newFloat().Mul(a.bigVal(t.a, t.c, t.d), b.bigVal(t.b, t.c, t.d))
-	f.Add(f, c.bigVal(t.a, t.c, t.d))
-	return Num{f: f}
+	p := t.c.Mul(a.bigVal(t.a, t.c, t.d), b.bigVal(t.b, t.c, t.d))
+	return Num{f: newFloat().Add(p, c.bigVal(t.a, t.b, t.d))}
 }

@@ -2,8 +2,12 @@ package num
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +195,68 @@ func TestQuickPow(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPowStressMatchesRepeatedMul checks Pow against repeated Mul on the
+// input TestQuickPow once failed on under -race (231^21, 165 odd bits)
+// and on random bases whose powers pass 128 bits but stay exact at
+// Prec, from parallel goroutines with forced GCs in between. Under
+// -race sync.Pool drops a share of its Puts, so the dyTempPool
+// temporaries both paths borrow are dropped and re-created at random; a
+// value that depended on their state would disagree here.
+func TestPowStressMatchesRepeatedMul(t *testing.T) {
+	rounds := 400
+	if testing.Short() {
+		rounds = 50
+	}
+	type job struct {
+		base Num
+		k    int64
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for r := 0; r < rounds; r++ {
+				// An odd base of `bits` bits raised to k needs at most
+				// bits·k ≤ 256 mantissa bits: exact on both paths, so they
+				// must agree bit for bit.
+				bits := 8 + rng.Intn(33)
+				k := int64(128/bits + 1 + rng.Intn(256/bits-128/bits))
+				odd := FromInt64(rng.Int63n(1<<(bits-1)) | 1<<(bits-1) | 1)
+				jobs := []job{
+					{FromInt64(231), 21},
+					{odd, k},
+					{odd.Mul(Pow2(int64(-rng.Intn(40)))), k},
+				}
+				for _, j := range jobs {
+					want := One()
+					for i := int64(0); i < j.k; i++ {
+						want = want.Mul(j.base)
+					}
+					got := j.base.Pow(j.k)
+					if !got.Equal(want) || string(got.CanonicalAppend(nil)) != string(want.CanonicalAppend(nil)) {
+						select {
+						case errs <- fmt.Sprintf("%v^%d: Pow %v, repeated Mul %v", j.base, j.k, got, want):
+						default:
+						}
+						return
+					}
+				}
+				if r%16 == 0 {
+					runtime.GC()
+				}
+			}
+		}(int64(g) + 1)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -19,8 +19,13 @@ import (
 // mantissa × 2^int32) while every result stays exactly representable,
 // and spills into its big.Float only when an operation outgrows the
 // form — see dyadic.go for why the two representations are
-// indistinguishable to callers. On the all-dyadic workloads the
-// generators emit, a warm Scratch touches no big.Float at all.
+// indistinguishable to callers. Products such as α^{n²} outgrow the
+// form on every generated family, so the spilled path is hot too: each
+// big.Float operation there writes into a free temporary of the same
+// Scratch and swaps it with s.f, never into one of its own operands,
+// because math/big allocates a fresh mantissa whenever the destination
+// aliases an operand. A warm Scratch therefore allocates nothing on
+// either path.
 //
 // Discipline — scratches are pooled and MUST NOT escape:
 //
@@ -38,7 +43,7 @@ import (
 type Scratch struct {
 	f        *big.Float // big representation; authoritative when !dy
 	tmp      *big.Float // transient help word and MulAdd intermediary
-	t2, t3   *big.Float // operand materialization destinations
+	t2, t3   *big.Float // operand materialization and result destinations
 	t4       *big.Float // second setDy help word (see setDy on aliasing)
 	mhi, mlo uint64     // dyadic odd mantissa, authoritative when dy
 	exp      int32
@@ -139,7 +144,8 @@ func (s *Scratch) Add(n Num) *Scratch {
 		}
 	}
 	s.spill()
-	s.f.Add(s.f, n.bigVal(s.t2, s.tmp, s.t4))
+	s.t3.Add(s.f, n.bigVal(s.t2, s.tmp, s.t4))
+	s.f, s.t3 = s.t3, s.f
 	return s
 }
 
@@ -151,7 +157,8 @@ func (s *Scratch) AddScratch(t *Scratch) *Scratch {
 		}
 	}
 	s.spill()
-	s.f.Add(s.f, t.val(s.t2))
+	s.t3.Add(s.f, t.val(s.t2))
+	s.f, s.t3 = s.t3, s.f
 	return s
 }
 
@@ -164,7 +171,8 @@ func (s *Scratch) Mul(n Num) *Scratch {
 		}
 	}
 	s.spill()
-	s.f.Mul(s.f, n.bigVal(s.t2, s.tmp, s.t4))
+	s.t3.Mul(s.f, n.bigVal(s.t2, s.tmp, s.t4))
+	s.f, s.t3 = s.t3, s.f
 	return s
 }
 
@@ -176,7 +184,8 @@ func (s *Scratch) MulScratch(t *Scratch) *Scratch {
 		}
 	}
 	s.spill()
-	s.f.Mul(s.f, t.val(s.t2))
+	s.t3.Mul(s.f, t.val(s.t2))
+	s.f, s.t3 = s.t3, s.f
 	return s
 }
 
@@ -197,7 +206,8 @@ func (s *Scratch) MulAdd(a, b Num) *Scratch {
 			// exact product, so only the addition rounds.
 			s.spill()
 			setDy(s.tmp, s.t2, s.t4, phi, plo, pe)
-			s.f.Add(s.f, s.tmp)
+			s.t2.Add(s.f, s.tmp)
+			s.f, s.t2 = s.t2, s.f
 			return s
 		}
 	}
@@ -205,7 +215,8 @@ func (s *Scratch) MulAdd(a, b Num) *Scratch {
 	av := a.bigVal(s.t2, s.tmp, s.t4)
 	bv := b.bigVal(s.t3, s.tmp, s.t4)
 	s.tmp.Mul(av, bv)
-	s.f.Add(s.f, s.tmp)
+	s.t2.Add(s.f, s.tmp)
+	s.f, s.t2 = s.t2, s.f
 	return s
 }
 

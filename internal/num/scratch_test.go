@@ -112,3 +112,52 @@ func TestScratchPoolStatsMonotone(t *testing.T) {
 		t.Fatalf("news went backwards")
 	}
 }
+
+// TestScratchSpilledZeroAllocs pins the no-alias rule of the spilled
+// path: once its temporaries have grown to the chain's mantissa sizes, a
+// Scratch past 128 bits makes no allocation in Add, AddScratch, Mul,
+// MulScratch or either MulAdd branch. math/big allocates a fresh
+// mantissa whenever a destination aliases an operand, so one aliased
+// operation anywhere in the chain shows up here.
+func TestScratchSpilledZeroAllocs(t *testing.T) {
+	wide := FromInt64(3).Pow(100)  // 159 odd bits: big-backed
+	wide2 := FromInt64(7).Pow(50)  // 141 odd bits: big-backed
+	narrow := FromInt64(12345)     // dyadic
+	half := FromInt64(3).Pow(60)   // 96 odd bits: dyadic, squares past 128
+	small := FromFloat64(0.828125) // dyadic, below one
+	s, u, v := NewScratch(), NewScratch(), NewScratch()
+	defer s.Release()
+	defer u.Release()
+	defer v.Release()
+	u.Set(wide2) // a spilled operand scratch
+	v.Set(narrow)
+	chain := func() {
+		s.Set(wide)
+		s.Add(narrow)           // spilled + dyadic operand
+		s.Add(wide2)            // spilled + big operand
+		s.Mul(small)            // spilled · dyadic operand
+		s.Mul(wide2)            // spilled · big operand
+		s.AddScratch(u)         // spilled + spilled scratch
+		s.AddScratch(v)         // spilled + dyadic scratch
+		s.MulScratch(v)         // spilled · dyadic scratch
+		s.MulScratch(u)         // spilled · spilled scratch
+		s.MulScratch(s)         // squaring through the scratch itself
+		s.MulAdd(narrow, small) // exact dyadic product, wide sum
+		s.MulAdd(half, half)    // product past 128 bits
+		s.MulAdd(wide, narrow)  // big operand
+		s.SetInt64(5)
+		s.MulAdd(half, half) // dyadic accumulator, spilled product
+	}
+	// Two warm-up rounds: every result swaps a temporary into s.f, so a
+	// chain with an odd number of swaps alternates which float each op
+	// writes into from one round to the next.
+	chain()
+	chain()
+	if got := testing.AllocsPerRun(100, chain); got != 0 {
+		t.Fatalf("warm spilled Scratch chain made %.2f allocs per run, want 0", got)
+	}
+	// The chain must have stayed on the spilled path.
+	if s.dy {
+		t.Fatal("chain ended dyadic; it no longer exercises the spilled path")
+	}
+}

@@ -96,8 +96,9 @@ type kbzRun struct {
 	queue    []int
 	mods     []module // n−1 leaves and at most n−2 fusions per root
 	seq      qon.Sequence
-	one      *big.Float // rankCmp's constant and scratch, made on first use
-	lhs, rhs *big.Float
+	// Exact arithmetic's constant and scratch, made by exactFloats on
+	// first use; prod holds exact's product and rankCmp's differences.
+	one, lhs, rhs, prod *big.Float
 }
 
 func newKBZRun(in *qon.Instance) *kbzRun {
@@ -136,11 +137,23 @@ func (r *kbzRun) fuse(a, b *module) *module {
 	return m
 }
 
+// exactFloats makes the scratch floats of exact and rankCmp. Most runs
+// decide every comparison in log₂ and never need them.
+func (r *kbzRun) exactFloats() {
+	if r.one == nil {
+		r.one = new(big.Float).SetPrec(num.Prec).SetInt64(1)
+		r.lhs = new(big.Float).SetPrec(num.Prec)
+		r.rhs = new(big.Float).SetPrec(num.Prec)
+		r.prod = new(big.Float).SetPrec(num.Prec)
+	}
+}
+
 // exact derives m's exact (C, T), memoized.
 func (r *kbzRun) exact(m *module) {
 	if m.c != nil {
 		return
 	}
+	r.exactFloats()
 	if m.a == nil {
 		m.c = r.in.W[m.v][m.p].Float()
 		m.t = r.in.T[m.v].Mul(r.in.S[m.v][m.p]).Float()
@@ -148,8 +161,10 @@ func (r *kbzRun) exact(m *module) {
 	}
 	r.exact(m.a)
 	r.exact(m.b)
-	c := new(big.Float).SetPrec(num.Prec).Mul(m.a.t, m.b.c)
-	m.c = c.Add(c, m.a.c)
+	// No big.Float operation here or in rankCmp writes over one of its
+	// operands: math/big allocates a fresh mantissa when it does.
+	r.prod.Mul(m.a.t, m.b.c)
+	m.c = new(big.Float).SetPrec(num.Prec).Add(r.prod, m.a.c)
 	m.t = new(big.Float).SetPrec(num.Prec).Mul(m.a.t, m.b.t)
 }
 
@@ -158,20 +173,14 @@ func (r *kbzRun) exact(m *module) {
 // Modules with equal (C, T) tie without the products, which the tied
 // f_N instances meet at almost every comparison.
 func (r *kbzRun) rankCmp(m1, m2 *module) int {
+	r.exactFloats()
 	r.exact(m1)
 	r.exact(m2)
 	if m1.c.Cmp(m2.c) == 0 && m1.t.Cmp(m2.t) == 0 {
 		return 0
 	}
-	if r.one == nil {
-		r.one = new(big.Float).SetPrec(num.Prec).SetInt64(1)
-		r.lhs = new(big.Float).SetPrec(num.Prec)
-		r.rhs = new(big.Float).SetPrec(num.Prec)
-	}
-	l := r.lhs.Sub(m1.t, r.one)
-	l.Mul(l, m2.c)
-	rr := r.rhs.Sub(m2.t, r.one)
-	rr.Mul(rr, m1.c)
+	l := r.lhs.Mul(r.prod.Sub(m1.t, r.one), m2.c)
+	rr := r.rhs.Mul(r.prod.Sub(m2.t, r.one), m1.c)
 	return l.Cmp(rr)
 }
 

@@ -10,9 +10,10 @@
 // set) against BENCH_opt.json, everything else against BENCH_qon.json;
 // all three files gate.
 //
-// Benchmarks run with -benchtime 300x -count 5, in three separate
-// go-test passes, and the minimum across all fifteen counts is
-// compared — the minimum is the least noisy estimator of a benchmark's
+// Each side's test binary is built once (`go test -c`) and every
+// measurement runs that binary. Benchmarks run with -benchtime 300x
+// -count 5, in three separate passes, and the minimum across all
+// fifteen counts is compared — the minimum is the least noisy estimator of a benchmark's
 // true cost on a shared machine. (30x proved noise-dominated for the
 // microsecond-scale benchmarks: scheduling jitter on a single-core VM
 // swamps a 240µs measurement window. And a single pass proved
@@ -30,9 +31,15 @@
 // threshold. Both sides see the same load swings, so a slower host
 // moves both and the ratio stays put, while a code regression moves
 // only the change. A benchmark whose ns/op ratio breaches the threshold
-// gets two more alternating passes on both sides before it fails. allocs/op does not drift with the host, so in this
-// mode it is also checked against the pinned files; the pinned ns/op
-// are the absolute record, re-pinned with -update.
+// is a suspect, not yet a failure: a neighbour's load spike inflates
+// one side's pass, and a minimum over three passes still catches it.
+// Each suspect is re-measured with the same two binaries, one benchmark
+// run at a time, each run lasting at least confirmWindow, the two sides
+// interleaved over confirmRounds rounds, and it fails only when the
+// change's median over those runs exceeds the threshold times the
+// parent's. allocs/op does not drift with the host, so in this mode it
+// is also checked against the pinned files; the pinned ns/op are the
+// absolute record, re-pinned with -update.
 //
 // Usage (from the repository root):
 //
@@ -46,8 +53,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -130,11 +139,16 @@ func run() int {
 		defer cleanup()
 		dirs = []string{dir, "."}
 	}
-	runs := make([]map[string]measurement, len(dirs))
+	sides, cleanup, err := buildSides(dirs)
+	if err != nil {
+		return fail(err)
+	}
+	defer cleanup()
+	runs := make([]map[string]measurement, len(sides))
 	for i := range runs {
 		runs[i] = map[string]measurement{}
 	}
-	if err := runBenchmarks(dirs, "^BenchmarkReg", benchPasses, runs); err != nil {
+	if err := runBenchmarks(sides, "^BenchmarkReg", benchPasses, runs); err != nil {
 		return fail(err)
 	}
 	measured := runs[len(runs)-1]
@@ -152,8 +166,8 @@ func run() int {
 		}
 		if len(suspects) > 0 {
 			sort.Strings(suspects)
-			fmt.Printf("benchdiff: re-measuring %s\n", strings.Join(suspects, ", "))
-			if err := runBenchmarks(dirs, "^("+strings.Join(suspects, "|")+")$", confirmPasses, runs); err != nil {
+			fmt.Printf("benchdiff: confirming %s over %d interleaved runs per side\n", strings.Join(suspects, ", "), confirmRounds)
+			if err := confirm(sides, suspects, runs); err != nil {
 				return fail(err)
 			}
 		}
@@ -328,31 +342,120 @@ func compare(path string, measured map[string]measurement, threshold float64, ch
 	return failures
 }
 
-// benchPasses is how many separate go-test invocations the regression
+// benchPasses is how many separate test-binary runs the regression
 // set runs in each tree: each pass walks the whole suite, so one
 // benchmark's samples are spread minutes apart and its minimum spans
 // the host's load swings instead of sharing a single regime.
 const benchPasses = 3
 
-// confirmPasses is how many more alternating passes A/B mode gives the
-// benchmarks whose ns/op ratio breached the threshold, on both sides,
-// before failing them: a load burst on a shared host rarely lands on
-// the same benchmark of the same side again, a code regression does.
-const confirmPasses = 2
+// confirmRounds is how many runs of each suspect A/B mode makes per
+// side, interleaved, before comparing the two medians: a load burst on
+// a shared host moves a minority of one side's runs, which the median
+// ignores, while a code regression moves every run of the change.
+const confirmRounds = 11
 
-// runBenchmarks executes the benchmarks matching pattern passes times
-// in each directory, folding the minimum ns/op and allocs/op per
-// benchmark across every count of every pass into runs[i] for dirs[i].
-// With two directories (parent and change) the passes alternate, the
-// first directory leading on even passes and the second on odd ones.
-func runBenchmarks(dirs []string, pattern string, passes int, runs []map[string]measurement) error {
-	for pass := 0; pass < passes; pass++ {
-		for k := range dirs {
-			i := k
-			if pass%2 == 1 {
-				i = len(dirs) - 1 - k
+// benchIters is the -benchtime iteration count of every pass. A confirm
+// run makes at least that many and enough to last confirmWindow at the
+// parent's pace: 300 runs of a sub-microsecond benchmark last well
+// under a millisecond, a window in which the allocator and GC state the
+// benchmark's set-up leaves behind, not the code under test, sets the
+// time per op.
+const (
+	benchIters    = 300
+	confirmWindow = 100e6 // ns
+)
+
+// side is one tree under test: its directory and the test binary built
+// from it.
+type side struct{ dir, bin string }
+
+// buildSides builds one test binary per directory into a temporary
+// directory, which the returned cleanup removes. Building once keeps
+// the compiler out of every measured window and runs the same binary
+// in every pass and confirm round.
+func buildSides(dirs []string) ([]side, func(), error) {
+	tmp, err := os.MkdirTemp("", "benchdiff-bin-")
+	if err != nil {
+		return nil, nil, err
+	}
+	cleanup := func() { os.RemoveAll(tmp) }
+	sides := make([]side, len(dirs))
+	for i, dir := range dirs {
+		sides[i] = side{dir: dir, bin: filepath.Join(tmp, fmt.Sprintf("side%d.test", i))}
+		cmd := exec.Command("go", "test", "-c", "-o", sides[i].bin, ".")
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			cleanup()
+			return nil, nil, fmt.Errorf("go test -c in %s: %w\n%s", dir, err, out)
+		}
+	}
+	return sides, cleanup, nil
+}
+
+// confirm re-measures each suspect one benchmark run at a time,
+// alternating which side runs first from round to round, and replaces
+// the suspect's ns/op in runs[i] by the median of its runs on sides[i].
+func confirm(sides []side, suspects []string, runs []map[string]measurement) error {
+	for _, name := range suspects {
+		iters := max(benchIters, int(math.Ceil(confirmWindow/runs[0][name].NsPerOp)))
+		samples := make([][]float64, len(sides))
+		for round := 0; round < confirmRounds; round++ {
+			for _, i := range order(len(sides), round) {
+				one := map[string]measurement{}
+				if err := runPass(sides[i], "^"+name+"$", iters, 1, one); err != nil {
+					return err
+				}
+				m, ok := one[name]
+				if !ok {
+					return fmt.Errorf("%s in %s: no result", name, sides[i].dir)
+				}
+				samples[i] = append(samples[i], m.NsPerOp)
 			}
-			if err := runPass(dirs[i], pattern, runs[i]); err != nil {
+		}
+		for i := range sides {
+			m := runs[i][name]
+			m.NsPerOp = median(samples[i])
+			runs[i][name] = m
+		}
+		fmt.Printf("benchdiff: %s median ns/op over %dx runs: parent %.0f, change %.0f\n",
+			name, iters, runs[0][name].NsPerOp, runs[len(runs)-1][name].NsPerOp)
+	}
+	return nil
+}
+
+// order lists the side indices for one round: the first side leads on
+// even rounds and the last on odd ones.
+func order(n, round int) []int {
+	idx := make([]int, n)
+	for k := range idx {
+		idx[k] = k
+		if round%2 == 1 {
+			idx[k] = n - 1 - k
+		}
+	}
+	return idx
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count); xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// runBenchmarks runs the benchmarks matching pattern passes times on
+// each side, folding the minimum ns/op and allocs/op per benchmark
+// across every count of every pass into runs[i] for sides[i]. With two
+// sides (parent and change) the passes alternate, the first side
+// leading on even passes and the second on odd ones.
+func runBenchmarks(sides []side, pattern string, passes int, runs []map[string]measurement) error {
+	for pass := 0; pass < passes; pass++ {
+		for _, i := range order(len(sides), pass) {
+			if err := runPass(sides[i], pattern, benchIters, 5, runs[i]); err != nil {
 				return err
 			}
 		}
@@ -360,16 +463,24 @@ func runBenchmarks(dirs []string, pattern string, passes int, runs []map[string]
 	return nil
 }
 
-// runPass runs the benchmarks matching pattern once in dir and folds
-// each one's minimum ns/op and allocs/op into measured.
-func runPass(dir, pattern string, measured map[string]measurement) error {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchmem", "-benchtime", "300x", "-count", "5", ".")
-	cmd.Dir = dir
+// runPass runs the benchmarks matching pattern count times on s, iters
+// iterations each, from its directory, and folds each one's minimum
+// ns/op and allocs/op into measured.
+func runPass(s side, pattern string, iters, count int, measured map[string]measurement) error {
+	cmd := exec.Command(s.bin, "-test.run", "^$", "-test.bench", pattern, "-test.benchmem",
+		"-test.benchtime", strconv.Itoa(iters)+"x", "-test.count", strconv.Itoa(count), "-test.timeout", "10m")
+	cmd.Dir = s.dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return fmt.Errorf("go test -bench in %s: %w\n%s", dir, err, out)
+		return fmt.Errorf("%s in %s: %w\n%s", pattern, s.dir, err, out)
 	}
+	parseBench(out, measured)
+	return nil
+}
+
+// parseBench folds each benchmark's minimum ns/op and allocs/op in the
+// test binary's output into measured.
+func parseBench(out []byte, measured map[string]measurement) {
 	for _, line := range strings.Split(string(out), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -392,7 +503,6 @@ func runPass(dir, pattern string, measured map[string]measurement) error {
 		}
 		measured[m[1]] = cur
 	}
-	return nil
 }
 
 func sortedKeys(m map[string]measurement) []string {
